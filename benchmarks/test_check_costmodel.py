@@ -10,7 +10,7 @@ call-splitting cost host work, speculation is cheap but not free —
 is thus recoverable before ever running a workload.
 
 Kept out of tier-1 (this directory is not in ``testpaths``): it
-measures real host-op counts, which needs profile builds and a few
+measures real host-op counts, which needs hostops builds and a few
 seconds per ISA.
 """
 

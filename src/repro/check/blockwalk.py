@@ -64,7 +64,6 @@ def walk_units(generated, image, abi, max_units: int = MAX_UNITS) -> list[UnitIn
 
     sim = generated.make()
     load_image(sim.state, image, abi)
-    translator = sim._translator
     seen: set[int] = set()
     frontier = [sim.state.pc]
     units: list[UnitInfo] = []
@@ -74,7 +73,7 @@ def walk_units(generated, image, abi, max_units: int = MAX_UNITS) -> list[UnitIn
             continue
         seen.add(pc)
         try:
-            fn = translator.translate(sim, pc)
+            fn = sim._translator.translate(sim, pc)
         except IllegalInstruction:
             continue  # an exit target pointing at data, e.g. past a loop
         units.append(
@@ -83,10 +82,10 @@ def walk_units(generated, image, abi, max_units: int = MAX_UNITS) -> list[UnitIn
                 source=fn.__block_source__,
                 length=fn.__block_len__,
                 cells=len(fn.__chain_cells__),
-                exit_targets=translator.last_exit_targets,
+                exit_targets=fn.__exit_targets__,
             )
         )
-        frontier.extend(t for t in translator.last_exit_targets if t not in seen)
+        frontier.extend(t for t in fn.__exit_targets__ if t not in seen)
     return units
 
 

@@ -3,7 +3,7 @@
 The paper's Table III measures the *costs of detail*: how many extra
 host operations per guest instruction each step up in semantic,
 informational, or speculative detail buys.  The measured numbers come
-from profile builds (:mod:`repro.harness.hostops`) that count executed
+from hostops builds (:mod:`repro.harness.hostops`) that count executed
 bytecode.  This module predicts the same quantities *statically*, from
 the generated modules alone:
 

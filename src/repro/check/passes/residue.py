@@ -1,16 +1,16 @@
 """Zero-overhead residue (CHK040, CHK041).
 
 Both the observability layer (:mod:`repro.obs`) and the host-op
-profiler promise *zero overhead when off*: a module synthesized without
-``observe``/``profile`` must be byte-identical to one that never heard
+cost accounting promise *zero overhead when off*: a module synthesized
+without ``observe``/``hostops`` must be byte-identical to one that never heard
 of those features.  The runtime tests sample that promise; this pass
 proves it structurally for every module:
 
 * **CHK040** — an observe-off module contains no ``_obs*`` probe
   identifiers anywhere, and a trace-off module contains no ``_prof*``
   guest-PC probe identifiers (the :mod:`repro.prof` hit counters).
-* **CHK041** — a profile-off module contains no ``_hops`` counter
-  plumbing; a profile-on module has all its static cost placeholders
+* **CHK041** — a hostops-off module contains no ``_hops`` counter
+  plumbing; a hostops-on module has all its static cost placeholders
   resolved to constants (an unresolved ``__BODY_COST_n__`` would crash
   at run time, or worse, silently count nothing).
 """
@@ -37,7 +37,7 @@ def check_residue(model: ModuleModel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     _check_obs_residue(model, diags)
     _check_trace_residue(model, diags)
-    _check_profile_residue(model, diags)
+    _check_hostops_residue(model, diags)
     return diags
 
 
@@ -75,16 +75,16 @@ def _check_trace_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
             return
 
 
-def _check_profile_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
-    if not model.options.profile:
+def _check_hostops_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
+    if not model.options.hostops:
         for node in ast.walk(model.tree):
             name = _identifier(node)
             if name == "_hops" or (name and _PLACEHOLDER.fullmatch(name)):
                 diags.append(
                     model.diagnostic(
                         "CHK041",
-                        f"profiling residue {name!r} in a module "
-                        f"synthesized with profile=False",
+                        f"host-op cost residue {name!r} in a module "
+                        f"synthesized with hostops=False",
                         node=node,
                     )
                 )
@@ -97,7 +97,7 @@ def _check_profile_residue(model: ModuleModel, diags: list[Diagnostic]) -> None:
             model.diagnostic(
                 "CHK041",
                 f"unresolved static-cost placeholder {match.group(0)!r} "
-                f"in a profile module",
+                f"in a hostops module",
                 lineno=lineno,
             )
         )

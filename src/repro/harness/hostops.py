@@ -1,7 +1,7 @@
 """Table III: costs of detail in host operations per simulated instruction.
 
 The paper counts host instructions; our host is the CPython VM, so the
-unit is executed Python bytecode operations, measured by profile builds
+unit is executed Python bytecode operations, measured by hostops builds
 (static bytecode length of each generated callable weighted by its
 dynamic invocation count, plus calibrated costs for the memory
 primitives, plus amortized block-translation cost).  The table's derived
@@ -36,7 +36,7 @@ def hostops_per_instruction(
     """Mean host ops per simulated instruction over the given kernels."""
     bundle = get_bundle(isa)
     if options is None:
-        options = SynthOptions(profile=True)
+        options = SynthOptions(hostops=True)
     generated = synthesize(bundle.load_spec(), buildset, options)
     total_ops = 0
     total_instructions = 0

@@ -16,7 +16,7 @@ synth/codegen (generated)    per-entrypoint invocation counts (``_obs_ep``),
                              DCE-eliminated statement counts (static metadata)
 synth/translator             block translation time/length, per-block DCE,
                              code-cache hit/miss/evict/flush
-synth/runtime                counted ``do_block`` path, cache-flush events
+synth/runtime                instrumented ``do_block`` path, cache-flush events
 sysemu/syscalls              per-syscall counters + trap events
 timing/*                     cache and predictor stats, mismatch events,
                              rollback depth histogram
@@ -34,8 +34,9 @@ class Observability:
     """Live counters + event ring shared across one run's components.
 
     ``profiler`` optionally attaches a :class:`repro.prof.Profiler` as
-    ``self.prof``; layers branch once on ``obs.prof.enabled`` to select
-    their profiled variants, exactly as they branch on ``obs.enabled``
+    ``self.prof``; layers pass it to :func:`repro.prof.spans.bind_spans`
+    at construction time, which span-wraps their methods only when
+    ``obs.prof.enabled``, just as they branch once on ``obs.enabled``
     for counting.
     """
 

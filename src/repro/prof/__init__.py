@@ -15,8 +15,7 @@ Layers:
   (translate / execute / chain_patch / syscall / rollback /
   timing_model) aggregated into a self/total span tree;
 * :mod:`repro.prof.guest` — guest attribution: per-translated-unit
-  timing, synthesized per-PC probes, a background PC sampler, and an
-  optional ``sys.setprofile`` host-call mode;
+  timing and synthesized per-PC probes;
 * :mod:`repro.prof.export` — Chrome Trace Event JSON, folded stacks
   for ``flamegraph.pl``, report documents and text rendering;
 * :mod:`repro.prof.bench` — ``BENCH_*.json`` regression diffing and
@@ -40,13 +39,7 @@ from repro.prof.export import (
     render_profile_text,
     write_chrome_trace,
 )
-from repro.prof.guest import (
-    NULL_GUEST,
-    GuestProfiler,
-    HostCallProfiler,
-    NullGuestProfiler,
-    PCSampler,
-)
+from repro.prof.guest import NULL_GUEST, GuestProfiler, NullGuestProfiler
 from repro.prof.profiler import NULL_PROF, NullProfiler, Profiler, record_sim_profile
 from repro.prof.spans import (
     CHAIN_PATCH,
@@ -67,14 +60,12 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "EXECUTE",
     "GuestProfiler",
-    "HostCallProfiler",
     "NULL_GUEST",
     "NULL_PROF",
     "NULL_SPANS",
     "NullGuestProfiler",
     "NullProfiler",
     "NullSpanTracer",
-    "PCSampler",
     "Profiler",
     "ROLLBACK",
     "SYSCALL",

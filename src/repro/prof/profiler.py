@@ -3,9 +3,10 @@
 One :class:`Profiler` is shared by a run's components, exactly like the
 :class:`~repro.obs.probe.Observability` facade it rides on
 (``make_observability(profile=True)`` attaches one as ``obs.prof``).
-Layers branch **once** — at synthesis or construction time — on
-``prof.enabled`` to select their profiled variants; the shared
-:data:`NULL_PROF` twin makes the disabled path free.
+Layers hand it to :func:`repro.prof.spans.bind_spans` once, at
+construction time, which span-wraps their methods only when
+``prof.enabled``; with the shared :data:`NULL_PROF` nothing is bound,
+so the disabled path is free.
 """
 
 from __future__ import annotations

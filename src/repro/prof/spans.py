@@ -16,9 +16,11 @@ Two products come out of one tracer:
   Trace Event export reads this.  The list is capped so a long run
   cannot grow without bound; spills are counted, never silent.
 
-Like every observability layer in this repo, the disabled twin
-(:class:`NullSpanTracer`) is selected once at construction time and
-costs nothing per event.
+Instrumented layers never hand-write a timed copy of a method.  They
+call :func:`bind_spans` once at construction time; with profiling on it
+instance-binds span-wrapped versions of the named methods, and with
+profiling off it binds nothing, so a default instance keeps calling the
+plain class methods.
 """
 
 from __future__ import annotations
@@ -206,3 +208,41 @@ class NullSpanTracer:
 
 #: shared no-op instance
 NULL_SPANS = NullSpanTracer()
+
+
+def bind_spans(obj, prof, spans: dict[str, str], foreign=()) -> None:
+    """Time ``obj``'s methods as spans, when ``prof`` is enabled.
+
+    ``spans`` maps a method name to the span it is timed as; each
+    wrapper is bound on the instance over the method it wraps.  With
+    profiling off nothing is bound, so the instance's methods keep their
+    original bytecode.  Methods named in ``foreign`` also credit their
+    elapsed time to ``prof.guest.foreign_ns``: they run nested inside a
+    translated unit's timed window (the chain slow path), and the
+    dispatch loop deducts that time so the unit is charged only for
+    executing guest code.
+    """
+    if not prof.enabled:
+        return
+    for method, name in spans.items():
+        guest = prof.guest if method in foreign else None
+        setattr(obj, method, _span(prof.spans, name, getattr(obj, method), guest))
+
+
+def _span(tracer, name: str, method, guest):
+    begin = tracer.begin
+    end = tracer.end
+    clock = time.perf_counter_ns
+
+    def spanned(*args, **kwargs):
+        t0 = clock()
+        begin(name)
+        try:
+            return method(*args, **kwargs)
+        finally:
+            end()
+            if guest is not None:
+                guest.foreign_ns += clock() - t0
+
+    spanned.__wrapped__ = method
+    return spanned

@@ -35,8 +35,9 @@ class SynthOptions:
 
     dce: bool = True
     regcache: bool = True
-    profile: bool = False
-    max_block: int = 32
+    #: charge host operations (Table III's cost unit) to ``sim.hostops``
+    #: from generated code and translated units; never in speed runs
+    hostops: bool = False
     #: emit observability probes (per-entrypoint counters) into generated
     #: code; off by default so the disabled path carries zero extra bytecode
     observe: bool = False
@@ -50,8 +51,8 @@ class SynthOptions:
     #: total instruction budget of one translation unit; when positive the
     #: block translator follows compile-time-constant unconditional control
     #: transfers across basic-block boundaries up to this many instructions
-    #: (each constituent basic block still capped at ``max_block``);
-    #: 0 restores classic single-basic-block units
+    #: (each constituent basic block still capped at the translator's
+    #: ``MAX_BLOCK``); 0 restores classic single-basic-block units
     superblock: int = 256
     #: patch translated units to transfer directly to their successors
     #: (QEMU-style lazy block chaining) instead of returning to the
@@ -545,7 +546,7 @@ def generate_one_module(plan: BuildPlan) -> str:
             f"di.{name} = {name}",
             SpecOrigin(kind="store", detail=name, loc=_field_loc(spec, name)),
         )
-    if plan.options.profile:
+    if plan.options.hostops:
         writer.line("self._hops += __EP_COST__")
     if plan.options.trace:
         writer.line("_ph = self._prof_hits")
@@ -622,7 +623,7 @@ def _emit_one_body(
     writer.line(f"def _b_{index}(self, di, pc, instr_bits):", body_origin)
     writer.indent()
     writer.line(f"# {instr.name}")
-    if plan.options.profile:
+    if plan.options.hostops:
         writer.line(f"self._hops += __BODY_COST_{index}__")
     writer.line("__state = self.state")
     if _mem_used(body_stmts):
@@ -724,7 +725,7 @@ def generate_step_module(plan: BuildPlan) -> str:
         writer.indent()
         if plan.options.observe:
             writer.line(f"self._obs_ep[{ep.name!r}] += 1")
-        if plan.options.profile:
+        if plan.options.hostops:
             writer.line(f"self._hops += __EP_COST_{ep_index}__")
         predecode = SpecOrigin(kind="predecode", step=ep_index, loc=buildset.loc)
         if ep_index < plan.decode_ep_index:
@@ -962,7 +963,7 @@ def _emit_step_bodies(
                 SpecOrigin(instr=instr.name, kind="commit", step=ep,
                            loc=instr.loc),
             )
-        if plan.options.profile:
+        if plan.options.hostops:
             writer.line(f"self._hops += __SBODY_COST_{ep}_{index}__")
         sources[ep] = writer
         carried_defined |= defs_per_step[ep]

@@ -18,7 +18,7 @@ from repro.arch.memory import Memory
 from repro.arch.state import ArchState
 from repro.obs.events import CACHE_EVICT, CACHE_FLUSH
 from repro.obs.probe import NULL_OBS
-from repro.prof.spans import CHAIN_PATCH, EXECUTE, ROLLBACK, SYSCALL
+from repro.prof.spans import CHAIN_PATCH, EXECUTE, ROLLBACK, SYSCALL, bind_spans
 from repro.synth.errors import SynthesisError
 
 
@@ -81,11 +81,10 @@ class SynthesizedSimulator:
         #: when the module was synthesized with trace=True
         self._prof_hits: dict[int, int] = {}
         self.obs = obs if obs is not None else NULL_OBS
-        profiling = self.obs.prof.enabled
         self.entry_names = generated.entry_names
         #: per-entrypoint invocation counts, incremented only by probes
         #: that exist when the module was synthesized with observe=True
-        #: (or by the observed do_block path)
+        #: (or by the instrumented do_block path)
         self._obs_ep = {name: 0 for name in generated.entry_names}
         for name in generated.entry_names:
             fn = generated.namespace.get(name)
@@ -93,44 +92,35 @@ class SynthesizedSimulator:
                 setattr(self, name, types.MethodType(fn, self))
         self._cache: dict[int, object] = {}
         self._translator = None
+        spans = {"run": EXECUTE, "_do_syscall": SYSCALL}
+        if self.buildset.speculation:
+            spans["rollback"] = ROLLBACK
         if self.buildset.semantic_detail == "block":
             from repro.synth.translator import BlockTranslator
 
             self._translator = BlockTranslator(self.plan, obs=self.obs)
             #: chain edges into each cached unit: target pc -> {id: cell}
             self._chains: dict[int, dict[int, list]] = {}
-            #: whether cache statistics are being maintained (observed
+            #: whether cache statistics are being maintained (instrumented
             #: path selected); gates counting in the chain slow paths
             self._counting = (
                 self.obs.enabled or self.plan.options.cache_limit is not None
             )
             #: LRU ordering is maintained only when a capacity limit exists
             self._lru = self.plan.options.cache_limit is not None
-            if profiling:
-                # Profiling subsumes counting: the profiled lookup keeps
-                # the observed path's cache statistics and adds per-unit
-                # wall-clock attribution.
-                self._counting = True
-                self.do_block = self._do_block_profiled
-                self._chain_link = self._chain_link_profiled
-            elif self._counting:
+            if self._counting:
                 # Select the counting/evicting lookup once, here, so the
                 # default path keeps its original (probe-free) bytecode.
-                self.do_block = self._do_block_observed
-        if profiling:
-            # Span-wrapped twins, instance-bound once so the unprofiled
-            # methods keep their original bytecode.
-            self._do_syscall = self._do_syscall_profiled
-            self.run = self._run_profiled
-            if self.buildset.speculation:
-                self.rollback = self._rollback_profiled
-        if self.plan.options.profile:
-            profiled = ProfilingMemory(
+                self.do_block = self._do_block_instrumented
+            spans["_chain_link"] = CHAIN_PATCH
+        bind_spans(self, self.obs.prof, spans, foreign=("_chain_link",))
+        if self.plan.options.hostops:
+            costed = ProfilingMemory(
                 self.spec.endian, self, generated.mem_read_cost,
                 generated.mem_write_cost,
             )
-            profiled.restore(self.state.mem.snapshot())
-            self.state.mem = profiled
+            costed.restore(self.state.mem.snapshot())
+            self.state.mem = costed
         self.di = self.new_dinst()
 
     # -- interface plumbing -----------------------------------------------------
@@ -146,11 +136,6 @@ class SynthesizedSimulator:
                 f"configured"
             )
         self.syscall_handler(self.state, di)
-
-    def _do_syscall_profiled(self, di) -> None:
-        """Span-wrapped twin of :meth:`_do_syscall` (profiling builds)."""
-        with self.obs.prof.spans.span(SYSCALL):
-            SynthesizedSimulator._do_syscall(self, di)
 
     # -- block-mode support --------------------------------------------------------
 
@@ -183,47 +168,21 @@ class SynthesizedSimulator:
         while nxt is not None:
             nxt = nxt(self, di)
 
-    def _do_block_observed(self, di) -> None:
-        """Counting/evicting variant of :meth:`do_block`.
+    def _do_block_instrumented(self, di) -> None:
+        """Counting/evicting, optionally timing, variant of :meth:`do_block`.
 
         Bound over ``do_block`` at construction time when observability
-        is enabled or a code-cache capacity limit is configured, so the
-        default path never pays for either.  Chained transfers count as
-        cache hits (the lookup they replace) plus ``chained``.
-        """
-        pc = self.state.pc
-        cache = self._cache
-        fn = cache.get(pc)
-        stats = self._translator.cache_stats
-        if fn is None:
-            stats.misses += 1
-            fn = self._translator.translate(self, pc)
-            self._install_block(pc, fn)
-        else:
-            stats.hits += 1
-            if self._lru:
-                cache[pc] = cache.pop(pc)  # move-to-end: most recently used
-        self._obs_ep["do_block"] += 1
-        budget = di.budget
-        if 0 < budget < fn.__block_len__:
-            self._translator._translate(self, pc, limit=budget)(self, di)
-            di.budget = budget - di.count
-            return
-        nxt = fn(self, di)
-        while nxt is not None:
-            stats.hits += 1
-            stats.chained += 1
-            nxt = nxt(self, di)
+        or profiling is enabled or a code-cache capacity limit is
+        configured, so the default path never pays for any of them.
+        Chained transfers count as cache hits (the lookup they replace)
+        plus ``chained``.
 
-    def _do_block_profiled(self, di) -> None:
-        """Profiled variant of :meth:`_do_block_observed`.
-
-        Keeps the observed path's cache statistics and additionally
-        charges each translation unit's wall-clock time and executed
-        instruction count to its guest entry PC in ``obs.prof.guest``,
-        including every chained hop the trampoline takes.  A unit that
-        raises (guest exit, syscall unwinding) is not charged: one
-        partial unit per run is below measurement noise.
+        When profiling, each translation unit's wall-clock time and
+        executed instruction count are also charged to its guest entry
+        PC in ``obs.prof.guest``, including every chained hop the
+        trampoline takes.  A unit that raises (guest exit, syscall
+        unwinding) is not charged: one partial unit per run is below
+        measurement noise.
         """
         pc = self.state.pc
         cache = self._cache
@@ -239,35 +198,38 @@ class SynthesizedSimulator:
                 cache[pc] = cache.pop(pc)  # move-to-end: most recently used
         self._obs_ep["do_block"] += 1
         guest = self.obs.prof.guest
+        timed = guest.enabled
         ns = time.perf_counter_ns
         budget = di.budget
         if 0 < budget < fn.__block_len__:
             part = self._translator._translate(self, pc, limit=budget)
             t0 = ns()
             part(self, di)
-            guest.add_unit_time(pc, ns() - t0, di.count)
+            if timed:
+                guest.add_unit_time(pc, ns() - t0, di.count)
             di.budget = budget - di.count
             return
         # The chain slow path (patch + successor translation) runs inside
-        # the unit's epilogue; its wrapper accumulates that time into
-        # ``foreign_ns`` so the delta can be deducted here and the unit is
-        # charged only for executing guest code.
-        t0 = ns()
-        f0 = guest.foreign_ns
-        nxt = fn(self, di)
-        guest.add_unit_time(pc, ns() - t0 - (guest.foreign_ns - f0), di.count)
-        while nxt is not None:
-            stats.hits += 1
-            stats.chained += 1
-            hop_pc = nxt.__block_pc__
-            t0 = ns()
-            f0 = guest.foreign_ns
-            cur = nxt(self, di)
-            guest.add_unit_time(
-                hop_pc, ns() - t0 - (guest.foreign_ns - f0), di.count,
-                chained=True,
-            )
-            nxt = cur
+        # a unit's epilogue; when profiling, its span wrapper accumulates
+        # that time into ``foreign_ns`` so the delta can be deducted here
+        # and the unit is charged only for executing guest code.
+        chained = False
+        while fn is not None:
+            if chained:
+                stats.hits += 1
+                stats.chained += 1
+            if timed:
+                t0 = ns()
+                f0 = guest.foreign_ns
+                nxt = fn(self, di)
+                guest.add_unit_time(
+                    fn.__block_pc__, ns() - t0 - (guest.foreign_ns - f0),
+                    di.count, chained,
+                )
+            else:
+                nxt = fn(self, di)
+            fn = nxt
+            chained = True
 
     def _install_block(self, pc: int, fn) -> None:
         """Insert a translated unit, evicting (LRU) at the capacity limit."""
@@ -279,11 +241,9 @@ class SynthesizedSimulator:
         cache[pc] = fn
         if self._counting:
             self._translator.cache_stats.blocks = len(cache)
-            prof = self.obs.prof
-            if prof.enabled:
-                prof.guest.register_unit(
-                    pc, fn.__block_len__, getattr(fn, "__block_parts__", 1)
-                )
+            self.obs.prof.guest.register_unit(
+                pc, fn.__block_len__, getattr(fn, "__block_parts__", 1)
+            )
 
     def _evict_block(self, victim: int) -> None:
         fn = self._cache.pop(victim)
@@ -340,23 +300,6 @@ class SynthesizedSimulator:
         cell[1] = length
         return fn if length <= budget else None
 
-    def _chain_link_profiled(self, cell: list, target: int, budget: int):
-        """Span-wrapped twin of :meth:`_chain_link` (profiling builds).
-
-        Besides the span, the elapsed time is credited to
-        ``guest.foreign_ns``: this slow path runs nested inside the
-        calling unit's timed window, and the dispatch loop deducts it so
-        units are charged only for guest execution.
-        """
-        prof = self.obs.prof
-        t0 = time.perf_counter_ns()
-        prof.spans.begin(CHAIN_PATCH)
-        try:
-            return SynthesizedSimulator._chain_link(self, cell, target, budget)
-        finally:
-            prof.spans.end()
-            prof.guest.foreign_ns += time.perf_counter_ns() - t0
-
     def _chain_resolve(self, c0: list, c1: list, target: int, budget: int):
         """Pick a successor slot for a runtime-computed exit and link it.
 
@@ -402,11 +345,6 @@ class SynthesizedSimulator:
                 f"speculation support"
             )
         return self.state.rollback(count)
-
-    def _rollback_profiled(self, count: int = 1) -> int:
-        """Span-wrapped twin of :meth:`rollback` (profiling builds)."""
-        with self.obs.prof.spans.span(ROLLBACK):
-            return SynthesizedSimulator.rollback(self, count)
 
     def commit(self, count: int = 1) -> int:
         """Retire undo records for the oldest ``count`` instructions."""
@@ -464,14 +402,9 @@ class SynthesizedSimulator:
                 di.budget = 0
         return RunResult(executed, False, None)
 
-    def _run_profiled(self, max_instructions: int) -> RunResult:
-        """Span-wrapped twin of :meth:`run` (profiling builds)."""
-        with self.obs.prof.spans.span(EXECUTE):
-            return SynthesizedSimulator.run(self, max_instructions)
-
     @property
     def hostops(self) -> int:
-        """Host operations charged so far (profile builds only)."""
+        """Host operations charged so far (hostops builds only)."""
         return self._hops
 
     def reset_hostops(self) -> None:

@@ -94,7 +94,7 @@ def _generate_block_module(plan: BuildPlan) -> str:
 _PLACEHOLDER = re.compile(r"__(?:EP_COST(?:_\d+)?|BODY_COST_\d+|SBODY_COST_\d+_\d+)__")
 
 
-def _resolve_profile_placeholders(source: str, namespace: dict) -> str:
+def _resolve_cost_placeholders(source: str, namespace: dict) -> str:
     """Replace cost placeholders with measured static bytecode counts.
 
     The module is compiled once with placeholders treated as globals (they
@@ -186,8 +186,8 @@ def synthesize(
     exec(compile(source, f"<synth {spec.name}/{buildset_name}>", "exec"), namespace)
     _bind_body_tables(plan, namespace)
 
-    if options.profile and detail != "block":
-        source = _resolve_profile_placeholders(source, namespace)
+    if options.hostops and detail != "block":
+        source = _resolve_cost_placeholders(source, namespace)
         namespace = _base_namespace(spec)
         for table_name, table in decode_tables(plan).items():
             namespace[table_name] = table

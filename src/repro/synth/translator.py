@@ -31,7 +31,7 @@ from repro.adl.spec import Instruction
 from repro.arch.faults import IllegalInstruction
 from repro.obs.events import BLOCK_TRANSLATE
 from repro.obs.probe import NULL_OBS
-from repro.prof.spans import TRANSLATE as TRANSLATE_SPAN
+from repro.prof.spans import TRANSLATE as TRANSLATE_SPAN, bind_spans
 from repro.ops import PURE_NAMESPACE
 from repro.synth.codegen import (
     BuildPlan,
@@ -48,6 +48,9 @@ from repro.synth.dataflow import (
 from repro.synth.errors import SynthesisError
 from repro.synth.rewrite import RewriteContext, peephole_stmts, rewrite_stmts
 
+
+#: Instruction cap of one basic block inside a translation unit.
+MAX_BLOCK = 32
 
 #: Sentinel "length" of an unlinked chain cell: larger than any budget, so
 #: the generated fast path rejects an unlinked cell and a too-long
@@ -343,15 +346,15 @@ class CodeCacheStats:
     """Public statistics of one simulator's block code cache.
 
     ``hits``/``misses`` count :meth:`do_block` lookups (only on the
-    observed path — the unobserved fast path does not count), ``blocks``
+    instrumented path — the plain fast path does not count), ``blocks``
     is the current cache population, ``evictions`` counts capacity
     evictions and ``flushes`` whole-cache invalidations.
 
     Chaining bookkeeping: ``chain_links`` counts successor slots patched
     to a translated unit, ``chain_unlinks`` slots severed by eviction or
-    flush, and ``chained`` direct unit-to-unit transfers taken (observed
-    path only — on the fast path chained transfers are uncounted, like
-    hits).
+    flush, and ``chained`` direct unit-to-unit transfers taken
+    (instrumented path only — on the fast path chained transfers are
+    uncounted, like hits).
     """
 
     hits: int = 0
@@ -376,6 +379,25 @@ class CodeCacheStats:
         }
 
 
+@dataclass(frozen=True)
+class UnitSource:
+    """One translation unit's source and the facts gathered building it."""
+
+    source: str
+    #: name of the unit's function in ``source``
+    name: str
+    #: guest instructions translated into the unit
+    length: int
+    #: basic blocks merged into the unit (superblock formation)
+    parts: int
+    #: chain cells the source references: (global name, cell)
+    cells: tuple[tuple[str, list], ...]
+    #: compile-time-constant successor pcs (read by :mod:`repro.check`)
+    exit_targets: tuple[int, ...]
+    #: statements dead-code elimination dropped from the unit
+    dce_dropped: int
+
+
 class BlockTranslator:
     """Translates basic blocks into specialized Python functions."""
 
@@ -383,19 +405,9 @@ class BlockTranslator:
         self.plan = plan
         self.obs = obs if obs is not None else NULL_OBS
         self.cache_stats = CodeCacheStats()
-        #: statements dropped by DCE during the most recent translation
-        self._dce_dropped = 0
-        self._last_block_len = 0
-        #: basic blocks merged into the most recent translation unit
-        self._last_parts = 1
-        #: chain cells created for the most recent unit: (global name, cell)
-        self._last_cells: list[tuple[str, list]] = []
         #: memoized decode-time front half of piece translation,
         #: keyed by (addr, word) — see :meth:`_instruction_core`
         self._piece_cache: dict[tuple[int, int], dict] = {}
-        #: compile-time-constant exit targets of the most recent unit
-        #: (consumed by the static block walk in :mod:`repro.check`)
-        self.last_exit_targets: tuple[int, ...] = ()
         spec = plan.spec
         self._fold_funcs = dict(PURE_NAMESPACE)
         self._fold_funcs.update(spec.helpers)
@@ -407,6 +419,7 @@ class BlockTranslator:
             instr.name: _instr_has_syscall(instr, plan.post_actions)
             for instr in spec.instructions
         }
+        bind_spans(self, self.obs.prof, {"translate": TRANSLATE_SPAN})
 
     #: Host ops charged per generated op for the (one-time) act of
     #: translating a block; amortized over block executions exactly as the
@@ -415,33 +428,26 @@ class BlockTranslator:
 
     # -- public API -------------------------------------------------------------
 
-    def translate(self, sim, start_pc: int, limit: int | None = None):
+    def translate(self, sim, start_pc: int):
         """Translate the unit at ``start_pc`` against current memory.
 
-        ``limit`` caps the unit at that many instructions and suppresses
-        chaining; the run driver uses it for the final partial unit of a
-        bounded execution.
+        With observability enabled, each translation is also counted and
+        timed; the returned function carries the unit's provenance
+        (``__block_len__``, ``__block_parts__``, ``__dce_dropped__``, ...).
         """
         if not self.obs.enabled:
-            return self._translate(sim, start_pc, limit)
-        prof = self.obs.prof
-        if prof.enabled:
-            with prof.spans.span(TRANSLATE_SPAN):
-                return self._translate_counted(sim, start_pc, limit)
-        return self._translate_counted(sim, start_pc, limit)
-
-    def _translate_counted(self, sim, start_pc: int, limit: int | None = None):
-        """Counting body of :meth:`translate` (observability enabled)."""
+            return self._translate(sim, start_pc)
         start = time.perf_counter()
-        fn = self._translate(sim, start_pc, limit)
+        fn = self._translate(sim, start_pc)
         elapsed_us = int((time.perf_counter() - start) * 1e6)
-        length = self._last_block_len
-        parts = self._last_parts
+        length = fn.__block_len__
+        parts = fn.__block_parts__
+        dce_dropped = fn.__dce_dropped__
         counters = self.obs.counters
         counters.inc("translate.blocks")
         counters.inc("translate.instructions", length)
         counters.inc("translate.elapsed_us", elapsed_us)
-        counters.inc("translate.dce_eliminated", self._dce_dropped)
+        counters.inc("translate.dce_eliminated", dce_dropped)
         if parts > 1:
             counters.inc("translate.superblocks")
             counters.inc("translate.superblock_instructions", length)
@@ -451,45 +457,47 @@ class BlockTranslator:
             instructions=length,
             parts=parts,
             elapsed_us=elapsed_us,
-            dce_eliminated=self._dce_dropped,
+            dce_eliminated=dce_dropped,
         )
         return fn
 
     def _translate(self, sim, start_pc: int, limit: int | None = None):
-        source, name = self.block_source(sim, start_pc, limit)
-        cells = self._last_cells
+        """Compile the unit at ``start_pc`` into a function.
+
+        ``limit`` caps the unit at that many instructions and suppresses
+        chaining; the run driver uses it for the final partial unit of a
+        bounded execution.
+        """
+        unit = self.block_source(sim, start_pc, limit)
         namespace = dict(sim.module_namespace)
-        for cell_name, cell in cells:
-            namespace[cell_name] = cell
-        code = compile(source, f"<block {start_pc:#x}>", "exec")
-        exec(code, namespace)
-        fn = namespace[name]
-        fn.__block_source__ = source
-        fn.__block_len__ = self._last_block_len
-        fn.__block_pc__ = start_pc
-        fn.__block_parts__ = self._last_parts
-        fn.__chain_cells__ = tuple(cell for _cell_name, cell in cells)
-        if self.plan.options.profile:
+        namespace.update(unit.cells)
+        source = unit.source
+        if self.plan.options.hostops:
             import dis
 
-            cost = sum(1 for _ in dis.get_instructions(fn.__code__))
+            exec(compile(source, f"<block {start_pc:#x}>", "exec"), namespace)
+            code = namespace[unit.name].__code__
+            cost = sum(1 for _ in dis.get_instructions(code))
             lines = source.splitlines(keepends=True)
             source = lines[0] + f"    self._hops += {cost + 6}\n" + "".join(lines[1:])
-            exec(compile(source, f"<block {start_pc:#x}>", "exec"), namespace)
-            fn = namespace[name]
-            fn.__block_source__ = source
-            fn.__block_len__ = self._last_block_len
-            fn.__block_pc__ = start_pc
-            fn.__block_parts__ = self._last_parts
-            fn.__chain_cells__ = tuple(cell for _cell_name, cell in cells)
             sim._hops += cost * self.TRANSLATE_COST_FACTOR
+        exec(compile(source, f"<block {start_pc:#x}>", "exec"), namespace)
+        fn = namespace[unit.name]
+        fn.__block_source__ = source
+        fn.__block_len__ = unit.length
+        fn.__block_pc__ = start_pc
+        fn.__block_parts__ = unit.parts
+        fn.__chain_cells__ = tuple(cell for _cell_name, cell in unit.cells)
+        fn.__exit_targets__ = unit.exit_targets
+        fn.__dce_dropped__ = unit.dce_dropped
         return fn
 
     # -- translation ---------------------------------------------------------------
 
     def block_source(
         self, sim, start_pc: int, limit: int | None = None
-    ) -> tuple[str, str]:
+    ) -> UnitSource:
+        """Build the source of the unit at ``start_pc`` (see :meth:`_translate`)."""
         plan = self.plan
         spec = plan.spec
         mem = sim.state.mem
@@ -501,8 +509,7 @@ class BlockTranslator:
             else None
         )
 
-        self._dce_dropped = 0
-        self._last_cells = []
+        dce_dropped = 0
         pieces: list[list[ast.stmt]] = []
         trace_consts: list[str | None] = []
         #: per-piece guarded side exit (superblocks across conditionals)
@@ -521,15 +528,15 @@ class BlockTranslator:
         ended_by_syscall = False
         chain = options.chain and limit is None
 
-        # Unit budget: one basic block (capped at max_block) classically;
+        # Unit budget: one basic block (capped at MAX_BLOCK) classically;
         # with superblock formation on, compile-time-constant control
         # transfers may be followed up to the superblock budget, each
-        # constituent basic block still capped at max_block.
-        unit_budget = options.superblock if options.superblock > 0 else options.max_block
+        # constituent basic block still capped at MAX_BLOCK.
+        unit_budget = options.superblock if options.superblock > 0 else MAX_BLOCK
         if limit is not None:
             unit_budget = min(unit_budget, limit)
 
-        while count < unit_budget and block_count < options.max_block:
+        while count < unit_budget and block_count < MAX_BLOCK:
             word = mem.read(addr, spec.ilen)
             index = spec.decode(word)
             if index is None:
@@ -549,6 +556,7 @@ class BlockTranslator:
                 sim, instr, addr, word, regcache, count, sreg_writes_all
             )
             pieces.append(stmts)
+            dce_dropped += info["dce_dropped"]
             trace_consts.append(info["trace_const"])
             side_exits.append(None)
             sreg_reads_all |= info["sreg_reads"]
@@ -774,17 +782,19 @@ class BlockTranslator:
                     f"return self._chain_link(__c, {final_next_pc}, __b)"
                 )
                 writer.dedent()
-        self._last_cells = cells
-        self._last_block_len = count
-        self._last_parts = parts
-        self.last_exit_targets = self._exit_targets(
-            final_next_pc, pieces, side_targets
+        return UnitSource(
+            source=writer.source(),
+            name=name,
+            length=count,
+            parts=parts,
+            cells=tuple(cells),
+            exit_targets=self._exit_targets(final_next_pc, pieces, side_targets),
+            dce_dropped=dce_dropped,
         )
-        return writer.source(), name
 
     @staticmethod
     def _exit_targets(final_next_pc, pieces, side_targets=frozenset()) -> tuple[int, ...]:
-        """Compile-time-constant successor pcs of the unit just built."""
+        """Compile-time-constant successor pcs of a unit."""
         targets: set[int] = set(side_targets)
         if isinstance(final_next_pc, int):
             targets.add(final_next_pc)
@@ -935,7 +945,6 @@ class BlockTranslator:
         env = core["env"]
         sreg_writes = core["sreg_writes"]
         trace_values = core["trace_values"]
-        self._dce_dropped += core["dce_dropped"]
 
         has_syscall = self._syscalls[instr.name]
         out: list[ast.stmt] = []
@@ -1001,6 +1010,7 @@ class BlockTranslator:
             "arm_consts": _next_pc_arm_consts(out),
             "sreg_reads": core["sreg_reads"],
             "sreg_writes": sreg_writes,
+            "dce_dropped": core["dce_dropped"],
             "mem_used": any(
                 isinstance(n, ast.Name) and n.id == "__mem"
                 for s in out

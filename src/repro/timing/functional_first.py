@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.arch.faults import ExitProgram
 from repro.obs.probe import NULL_OBS
 from repro.obs.report import record_timing_stats
-from repro.prof.spans import TIMING
+from repro.prof.spans import TIMING, bind_spans
 from repro.synth.synthesizer import GeneratedSimulator
 from repro.timing.pipeline import InOrderPipelineModel, TimingReport
 
@@ -46,13 +46,7 @@ class FunctionalFirstSimulator:
         self._next = index["next_pc"]
         self._ea = index.get("effective_addr")
         self._taken = index.get("branch_taken")
-        # Construction-time selection, as everywhere: the profiled twin
-        # wraps each block's trace consumption in a TIMING span.
-        self._consume = (
-            self._consume_trace_profiled
-            if self.obs.prof.enabled
-            else self._consume_trace
-        )
+        bind_spans(self, self.obs.prof, {"_consume_trace": TIMING})
 
     @property
     def state(self):
@@ -69,15 +63,11 @@ class FunctionalFirstSimulator:
                 record[self._taken] if self._taken is not None else None,
             )
 
-    def _consume_trace_profiled(self, trace) -> None:
-        with self.obs.prof.spans.span(TIMING):
-            self._consume_trace(trace)
-
     def run(self, max_instructions: int) -> TimingReport:
         """Run until guest exit or the instruction budget is spent."""
         report = TimingReport("functional-first")
         sim = self.sim
-        consume = self._consume
+        consume = self._consume_trace
         di = sim.di
         executed = 0
         try:

@@ -20,7 +20,7 @@ from repro.arch.faults import ExitProgram
 from repro.obs.events import ROLLBACK
 from repro.obs.probe import NULL_OBS
 from repro.obs.report import record_timing_stats
-from repro.prof.spans import TIMING as TIMING_SPAN
+from repro.prof.spans import TIMING, bind_spans
 from repro.synth.synthesizer import GeneratedSimulator
 from repro.timing.pipeline import InOrderPipelineModel, TimingReport
 
@@ -54,19 +54,13 @@ class SpeculativeFunctionalFirstSimulator:
         self.rollbacks = 0
         self.rolled_back_instructions = 0
         self._since_diverge = 0
+        bind_spans(self, self.obs.prof, {"run": TIMING})
 
     @property
     def state(self):
         return self.sim.state
 
     def run(self, max_instructions: int) -> TimingReport:
-        """Profiling-aware entry: a TIMING span brackets the whole drive."""
-        if self.obs.prof.enabled:
-            with self.obs.prof.spans.span(TIMING_SPAN):
-                return self._run(max_instructions)
-        return self._run(max_instructions)
-
-    def _run(self, max_instructions: int) -> TimingReport:
         report = TimingReport("speculative-functional-first")
         sim = self.sim
         di = sim.di

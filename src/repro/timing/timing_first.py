@@ -18,7 +18,7 @@ from repro.arch.faults import ExitProgram
 from repro.obs.events import TIMING_MISMATCH
 from repro.obs.probe import NULL_OBS
 from repro.obs.report import record_timing_stats
-from repro.prof.spans import TIMING as TIMING_SPAN
+from repro.prof.spans import TIMING, bind_spans
 from repro.synth.synthesizer import GeneratedSimulator
 from repro.timing.classify import BRANCH, LOAD, MUL, STORE, InstructionClassifier
 from repro.timing.pipeline import TimingReport, default_caches
@@ -54,6 +54,7 @@ class TimingFirstSimulator:
         self.instructions = 0
         self.mismatches = 0
         self.mispredicts = 0
+        bind_spans(self, self.obs.prof, {"run": TIMING})
 
     @property
     def state(self):
@@ -115,13 +116,6 @@ class TimingFirstSimulator:
             self.cycles += 10  # flush penalty
 
     def run(self, max_instructions: int) -> TimingReport:
-        """Profiling-aware entry: a TIMING span brackets the whole drive."""
-        if self.obs.prof.enabled:
-            with self.obs.prof.spans.span(TIMING_SPAN):
-                return self._run(max_instructions)
-        return self._run(max_instructions)
-
-    def _run(self, max_instructions: int) -> TimingReport:
         report = TimingReport("timing-first")
         try:
             while self.instructions < max_instructions:

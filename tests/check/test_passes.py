@@ -239,7 +239,7 @@ class TestZeroOverheadResidue:
     def test_chk041_unresolved_placeholder_in_profile_module(self, toy_spec):
         from repro.synth import SynthOptions, synthesize
 
-        generated = synthesize(toy_spec, "one_all", SynthOptions(profile=True))
+        generated = synthesize(toy_spec, "one_all", SynthOptions(hostops=True))
         source = generated.source.replace(
             "__state.pc = next_pc",
             "self._hops += __BODY_COST_999__\n    __state.pc = next_pc",

@@ -18,6 +18,8 @@ from repro.synth import SynthOptions, synthesize
 from repro.synth.runtime import SynthesizedSimulator
 from repro.sysemu.loader import load_image
 from repro.sysemu.syscalls import OSEmulator
+from repro.timing.functional_first import FunctionalFirstSimulator
+from repro.timing.timing_directed import TimingDirectedSimulator
 from repro.workloads.suite import assemble_kernel
 from repro.workloads.kernels import SUITE
 
@@ -89,7 +91,10 @@ class TestBlockPath:
             alpha_spec, "block_min", SynthOptions(observe=True)
         )
         sim = generated.make(obs=make_observability())
-        assert sim.do_block.__func__ is SynthesizedSimulator._do_block_observed
+        assert (
+            sim.do_block.__func__
+            is SynthesizedSimulator._do_block_instrumented
+        )
 
     def test_unprofiled_instance_binds_no_profiled_twins(self, alpha_spec):
         generated = synthesize(alpha_spec, "block_min")
@@ -103,12 +108,33 @@ class TestBlockPath:
             alpha_spec, "block_min", SynthOptions(observe=True)
         )
         sim = generated.make(obs=make_observability(profile=True))
-        assert sim.do_block.__func__ is SynthesizedSimulator._do_block_profiled
-        assert sim.run.__func__ is SynthesizedSimulator._run_profiled
         assert (
-            sim._chain_link.__func__
-            is SynthesizedSimulator._chain_link_profiled
+            sim.do_block.__func__
+            is SynthesizedSimulator._do_block_instrumented
         )
+        # span wrappers bound over the plain methods
+        assert sim.run.__wrapped__.__func__ is SynthesizedSimulator.run
+        assert (
+            sim._chain_link.__wrapped__.__func__
+            is SynthesizedSimulator._chain_link
+        )
+
+    def test_timing_organization_run_is_plain_unless_profiled(
+        self, alpha_spec
+    ):
+        organizations = (
+            (TimingDirectedSimulator, "step_all", "run"),
+            (FunctionalFirstSimulator, "block_decode", "_consume_trace"),
+        )
+        for cls, buildset, method in organizations:
+            generated = synthesize(alpha_spec, buildset)
+            default = cls(generated)
+            assert method not in default.__dict__
+            assert getattr(type(default), method) is getattr(cls, method)
+            profiled = cls(generated, obs=make_observability(profile=True))
+            assert profiled.__dict__[method].__wrapped__.__func__ is getattr(
+                cls, method
+            )
 
     def test_translated_blocks_identical_on_and_off(self, alpha_spec):
         """Per-block-execution cost is unchanged: probes live outside the

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.faults import IllegalInstruction
 from repro.synth import SynthOptions, SynthesisError, synthesize
+from repro.synth.translator import MAX_BLOCK
 
 from tests.synth import toyasm
 
@@ -235,12 +236,12 @@ class TestBlockTranslation:
         src = sim.block_source(0x08)
         assert "__R_R_" not in src
 
-    def test_long_straightline_block_capped(self, toy_spec):
-        gen = synthesize(toy_spec, "block_min", SynthOptions(max_block=8))
-        sim = gen.make()
+    def test_long_straightline_block_capped(self, generators):
+        # Straight-line code ends a unit at the translator's MAX_BLOCK.
+        sim = generators["block_min"].make()
         toyasm.load_words(sim.state, [toyasm.addi(1, 1, 1)] * 40)
         sim.do_block(sim.di)
-        assert sim.di.count == 8
+        assert sim.di.count == MAX_BLOCK == 32
 
 
 class TestSpeculation:
@@ -339,7 +340,7 @@ class TestStepInterface:
 
 class TestProfileMode:
     def test_hostops_counted(self, toy_spec):
-        gen = synthesize(toy_spec, "one_min", SynthOptions(profile=True))
+        gen = synthesize(toy_spec, "one_min", SynthOptions(hostops=True))
         sim = gen.make(syscall_handler=toyasm.exit_handler())
         toyasm.load_words(sim.state, toyasm.SUM_LOOP)
         sim.run(10_000)
@@ -348,7 +349,7 @@ class TestProfileMode:
     def test_all_costs_more_than_min(self, toy_spec):
         costs = {}
         for name in ("one_min", "one_all"):
-            gen = synthesize(toy_spec, name, SynthOptions(profile=True))
+            gen = synthesize(toy_spec, name, SynthOptions(hostops=True))
             sim = gen.make(syscall_handler=toyasm.exit_handler())
             toyasm.load_words(sim.state, toyasm.SUM_LOOP)
             result = sim.run(10_000)
@@ -356,7 +357,7 @@ class TestProfileMode:
         assert costs["one_all"] > costs["one_min"]
 
     def test_profile_mode_preserves_semantics(self, toy_spec):
-        gen = synthesize(toy_spec, "step_all", SynthOptions(profile=True))
+        gen = synthesize(toy_spec, "step_all", SynthOptions(hostops=True))
         sim = gen.make(syscall_handler=toyasm.exit_handler())
         toyasm.load_words(sim.state, toyasm.SUM_LOOP)
         result = sim.run(10_000)
