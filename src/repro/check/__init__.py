@@ -21,7 +21,7 @@ verifies the emitted code exhibits them:
 * **detail monotonicity** — Min ⊆ Decode ⊆ All record-store sets per
   instruction across sibling interfaces (CHK030);
 * **zero-overhead residue** — observability- and profiling-off modules
-  contain no probe or counter residue (CHK040, CHK041).
+  contain no probe residue (CHK040).
 
 Diagnostics carry *two* locations: the generated line, and — through
 the provenance side-table emitted by :mod:`repro.synth.codegen` — the

@@ -47,7 +47,8 @@ _REGISTRY: tuple[CodeInfo, ...] = (
     CodeInfo("CHK040", Severity.ERROR,
              "observability or profiling probe residue in a module "
              "synthesized with that layer off"),
-    CodeInfo("CHK041", Severity.ERROR, "host-op cost residue in generated module"),
+    # CHK041 (host-op cost residue) is retired with the host-op counting
+    # build it checked; the number stays unused.
     # -- translated-unit shape (superblocks and chaining) ----------------------
     CodeInfo("CHK050", Severity.ERROR,
              "translated unit failed static analysis"),

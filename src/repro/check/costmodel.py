@@ -3,9 +3,9 @@
 The paper's Table III measures the *costs of detail*: how many extra
 host operations per guest instruction each step up in semantic,
 informational, or speculative detail buys.  The measured numbers come
-from hostops builds (:mod:`repro.harness.hostops`) that count executed
-bytecode.  This module predicts the same quantities *statically*, from
-the generated modules alone:
+from :mod:`repro.harness.hostops`, which counts the bytecode a run
+actually executes.  This module predicts the same quantities
+*statically*, from the generated modules alone:
 
 * every interface entry function executes once per guest instruction,
   so its full static bytecode length is charged;
@@ -31,6 +31,7 @@ from __future__ import annotations
 import dis
 from dataclasses import dataclass, field as dc_field
 
+from repro.arch.memory import Memory
 from repro.check.model import ModuleModel, calls
 
 #: Table III rows: (label, minuend buildset, subtrahend buildset).
@@ -62,6 +63,11 @@ class CostPrediction:
 
 def _bytecode_length(fn) -> int:
     return sum(1 for _ in dis.get_instructions(fn.__code__))
+
+
+#: Charge of one call to each memory primitive generated code makes.
+_MEM_READ_COST = _bytecode_length(Memory.read)
+_MEM_WRITE_COST = _bytecode_length(Memory.write)
 
 
 def instruction_weights(spec) -> dict[str, float]:
@@ -97,9 +103,9 @@ def predict_costs(generated) -> CostPrediction:
         cost = float(_bytecode_length(fn))
         for name, _node in calls(fn_model.node):
             if name == "__mem.read":
-                cost += generated.mem_read_cost
+                cost += _MEM_READ_COST
             elif name == "__mem.write":
-                cost += generated.mem_write_cost
+                cost += _MEM_WRITE_COST
         return cost
 
     entry_cost = sum(cost_of(fn) for fn in model.entry_functions())
@@ -156,9 +162,9 @@ def predict_block_costs(generated, image, abi) -> CostPrediction:
                 and node.func.value.id == "__mem"
             ):
                 if node.func.attr.startswith("read"):
-                    unit_cost += generated.mem_read_cost
+                    unit_cost += _MEM_READ_COST
                 elif node.func.attr.startswith("write"):
-                    unit_cost += generated.mem_write_cost
+                    unit_cost += _MEM_WRITE_COST
         total_cost += unit_cost
         total_instructions += unit.length
     body_cost = total_cost / total_instructions if total_instructions else 0.0

@@ -35,9 +35,6 @@ class SynthOptions:
 
     dce: bool = True
     regcache: bool = True
-    #: charge host operations (Table III's cost unit) to ``sim.hostops``
-    #: from generated code and translated units; never in speed runs
-    hostops: bool = False
     #: emit observability probes (per-entrypoint counters) into generated
     #: code; off by default so the disabled path carries zero extra bytecode
     observe: bool = False
@@ -546,8 +543,6 @@ def generate_one_module(plan: BuildPlan) -> str:
             f"di.{name} = {name}",
             SpecOrigin(kind="store", detail=name, loc=_field_loc(spec, name)),
         )
-    if plan.options.hostops:
-        writer.line("self._hops += __EP_COST__")
     if plan.options.trace:
         writer.line("_ph = self._prof_hits")
         writer.line("_ph[pc] = _ph.get(pc, 0) + 1")
@@ -623,8 +618,6 @@ def _emit_one_body(
     writer.line(f"def _b_{index}(self, di, pc, instr_bits):", body_origin)
     writer.indent()
     writer.line(f"# {instr.name}")
-    if plan.options.hostops:
-        writer.line(f"self._hops += __BODY_COST_{index}__")
     writer.line("__state = self.state")
     if _mem_used(body_stmts):
         writer.line("__mem = __state.mem")
@@ -725,8 +718,6 @@ def generate_step_module(plan: BuildPlan) -> str:
         writer.indent()
         if plan.options.observe:
             writer.line(f"self._obs_ep[{ep.name!r}] += 1")
-        if plan.options.hostops:
-            writer.line(f"self._hops += __EP_COST_{ep_index}__")
         predecode = SpecOrigin(kind="predecode", step=ep_index, loc=buildset.loc)
         if ep_index < plan.decode_ep_index:
             writer.line("__state = self.state")
@@ -963,8 +954,6 @@ def _emit_step_bodies(
                 SpecOrigin(instr=instr.name, kind="commit", step=ep,
                            loc=instr.loc),
             )
-        if plan.options.hostops:
-            writer.line(f"self._hops += __SBODY_COST_{ep}_{index}__")
         sources[ep] = writer
         carried_defined |= defs_per_step[ep]
 

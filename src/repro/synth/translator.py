@@ -220,7 +220,7 @@ class RegisterCache:
             if self._is_reg_subscript(target):
                 file = target.value.id
                 index = target.slice
-                new_value, more = self._transform_expr(stmt.value)
+                new_value, more = self._transform_reads(stmt.value)
                 prelude.extend(more)
                 if isinstance(index, ast.Constant):
                     key = (file, index.value)
@@ -235,7 +235,7 @@ class RegisterCache:
                 # Non-constant store: flush + invalidate the file.
                 prelude.extend(self.flush({file}))
                 self.invalidate({file})
-                new_index, more = self._transform_expr(index)
+                new_index, more = self._transform_reads(index)
                 prelude.extend(more)
                 assign = ast.Assign(
                     [ast.Subscript(ast.Name(file, ast.Load()), new_index, ast.Store())],
@@ -243,7 +243,7 @@ class RegisterCache:
                 )
                 return prelude + [ast.fix_missing_locations(assign)]
         # Generic statement: rewrite contained loads.
-        new_stmt, more = self._transform_reads_in_stmt(stmt)
+        new_stmt, more = self._transform_reads(stmt)
         return more + [new_stmt]
 
     def _is_reg_subscript(self, node: ast.expr) -> bool:
@@ -279,19 +279,13 @@ class RegisterCache:
 
         return Reads()
 
-    def _transform_expr(self, expr: ast.expr) -> tuple[ast.expr, list[ast.stmt]]:
+    def _transform_reads(self, node: ast.AST) -> tuple[ast.AST, list[ast.stmt]]:
+        """Rewrite register loads in ``node``; returns it and the loads to hoist."""
         prelude: list[ast.stmt] = []
-        new_expr = ast.fix_missing_locations(
-            self._reads_transformer(prelude).visit(expr)
+        new_node = ast.fix_missing_locations(
+            self._reads_transformer(prelude).visit(node)
         )
-        return new_expr, prelude
-
-    def _transform_reads_in_stmt(self, stmt: ast.stmt) -> tuple[ast.stmt, list[ast.stmt]]:
-        prelude: list[ast.stmt] = []
-        new_stmt = ast.fix_missing_locations(
-            self._reads_transformer(prelude).visit(stmt)
-        )
-        return new_stmt, prelude
+        return new_node, prelude
 
     def _transform_if(self, stmt: ast.If) -> list[ast.stmt]:
         # Hoist loads for every constant register access in either branch so
@@ -421,11 +415,6 @@ class BlockTranslator:
         }
         bind_spans(self, self.obs.prof, {"translate": TRANSLATE_SPAN})
 
-    #: Host ops charged per generated op for the (one-time) act of
-    #: translating a block; amortized over block executions exactly as the
-    #: paper amortizes its binary-translation cost into Table III.
-    TRANSLATE_COST_FACTOR = 30
-
     # -- public API -------------------------------------------------------------
 
     def translate(self, sim, start_pc: int):
@@ -471,19 +460,9 @@ class BlockTranslator:
         unit = self.block_source(sim, start_pc, limit)
         namespace = dict(sim.module_namespace)
         namespace.update(unit.cells)
-        source = unit.source
-        if self.plan.options.hostops:
-            import dis
-
-            exec(compile(source, f"<block {start_pc:#x}>", "exec"), namespace)
-            code = namespace[unit.name].__code__
-            cost = sum(1 for _ in dis.get_instructions(code))
-            lines = source.splitlines(keepends=True)
-            source = lines[0] + f"    self._hops += {cost + 6}\n" + "".join(lines[1:])
-            sim._hops += cost * self.TRANSLATE_COST_FACTOR
-        exec(compile(source, f"<block {start_pc:#x}>", "exec"), namespace)
+        exec(compile(unit.source, f"<block {start_pc:#x}>", "exec"), namespace)
         fn = namespace[unit.name]
-        fn.__block_source__ = source
+        fn.__block_source__ = unit.source
         fn.__block_len__ = unit.length
         fn.__block_pc__ = start_pc
         fn.__block_parts__ = unit.parts
@@ -502,7 +481,6 @@ class BlockTranslator:
         spec = plan.spec
         mem = sim.state.mem
         options = plan.options
-        speculate = plan.buildset.speculation
         regcache = (
             RegisterCache(frozenset(spec.regfiles))
             if options.regcache
@@ -517,8 +495,6 @@ class BlockTranslator:
         side_targets: set[int] = set()
         sreg_reads_all: set[str] = set()
         sreg_writes_all: set[str] = set()
-        mem_used = False
-        reg_files_used: set[str] = set()
         addr = start_pc
         count = 0
         block_count = 0  # instructions in the current basic block
@@ -561,8 +537,6 @@ class BlockTranslator:
             side_exits.append(None)
             sreg_reads_all |= info["sreg_reads"]
             sreg_writes_all |= info["sreg_writes"]
-            mem_used = mem_used or info["mem_used"]
-            reg_files_used |= info["regfiles"]
             count += 1
             if self._syscalls[instr.name]:
                 ended_by_syscall = True
@@ -638,7 +612,7 @@ class BlockTranslator:
             if isinstance(node, ast.Name)
         }
         reg_files_bind = names_used & set(spec.regfiles)
-        mem_used = mem_used or "__mem" in names_used
+        mem_used = "__mem" in names_used
 
         name = f"_blk_{start_pc:x}"
         writer = SourceWriter()
@@ -1011,17 +985,6 @@ class BlockTranslator:
             "sreg_reads": core["sreg_reads"],
             "sreg_writes": sreg_writes,
             "dce_dropped": core["dce_dropped"],
-            "mem_used": any(
-                isinstance(n, ast.Name) and n.id == "__mem"
-                for s in out
-                for n in ast.walk(s)
-            ),
-            "regfiles": {
-                n.id
-                for s in out
-                for n in ast.walk(s)
-                if isinstance(n, ast.Name) and n.id in spec.regfiles
-            },
         }
         out = [s for s in out if not isinstance(s, ast.Pass)]
         return out, env, info

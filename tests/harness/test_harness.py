@@ -71,6 +71,15 @@ class TestMeasurement:
         )
         assert 50 < ops < 5000
 
+    def test_block_batching_costs_less_than_one(self):
+        # Table III's block-call row is negative: a translated unit
+        # executes fewer host ops per instruction than the One entry.
+        block, one = (
+            hostops_per_instruction("alpha", name, kernels=("checksum",), scale=0.1)
+            for name in ("block_min", "one_min")
+        )
+        assert block < one
+
 
 class TestRenderTable:
     def test_alignment_and_content(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.adl import load_isa_source
 from repro.lint.core import CODES, Severity
-from repro.lint.render import render_json, render_text
+from repro.diag.render import render_json, render_text
 from repro.lint.runner import lint_source
 from repro.synth import synthesize
 from repro.synth.errors import SynthesisError

@@ -1,8 +1,11 @@
 """End-to-end tests of the synthesizer across every interface shape."""
 
+import sys
+
 import pytest
 
 from repro.arch.faults import IllegalInstruction
+from repro.harness.hostops import counted_run
 from repro.synth import SynthOptions, SynthesisError, synthesize
 from repro.synth.translator import MAX_BLOCK
 
@@ -339,27 +342,37 @@ class TestStepInterface:
 
 
 class TestProfileMode:
-    def test_hostops_counted(self, toy_spec):
-        gen = synthesize(toy_spec, "one_min", SynthOptions(hostops=True))
+    """Host-op counting (Table III's unit) around an unmodified module."""
+
+    @staticmethod
+    def counted(gen):
         sim = gen.make(syscall_handler=toyasm.exit_handler())
         toyasm.load_words(sim.state, toyasm.SUM_LOOP)
-        sim.run(10_000)
-        assert sim.hostops > 0
+        result, ops = counted_run(sim, 10_000)
+        return sim, result, ops
 
-    def test_all_costs_more_than_min(self, toy_spec):
+    def test_hostops_counted(self, generators):
+        gen = generators["one_min"]
+        tracer = sys.gettrace()
+        sim, result, ops = self.counted(gen)
+        assert sys.gettrace() is tracer
+        assert ops > 0
+        plain_sim, plain = run_program(gen, toyasm.SUM_LOOP)
+        assert (result.executed, result.exited, result.exit_status) == (
+            plain.executed, plain.exited, plain.exit_status,
+        )
+        assert sim.state.same_architectural_state(plain_sim.state)
+
+    def test_all_costs_more_than_min(self, generators):
         costs = {}
-        for name in ("one_min", "one_all"):
-            gen = synthesize(toy_spec, name, SynthOptions(hostops=True))
-            sim = gen.make(syscall_handler=toyasm.exit_handler())
-            toyasm.load_words(sim.state, toyasm.SUM_LOOP)
-            result = sim.run(10_000)
-            costs[name] = sim.hostops / result.executed
+        for name in ("one_min", "one_all", "step_all"):
+            _sim, result, ops = self.counted(generators[name])
+            costs[name] = ops / result.executed
         assert costs["one_all"] > costs["one_min"]
+        assert costs["step_all"] > costs["one_all"]
 
-    def test_profile_mode_preserves_semantics(self, toy_spec):
-        gen = synthesize(toy_spec, "step_all", SynthOptions(hostops=True))
-        sim = gen.make(syscall_handler=toyasm.exit_handler())
-        toyasm.load_words(sim.state, toyasm.SUM_LOOP)
-        result = sim.run(10_000)
+    def test_profile_mode_preserves_semantics(self, generators):
+        gen = generators["step_all"]
+        _sim, result, ops = self.counted(gen)
         assert result.exit_status == toyasm.SUM_LOOP_RESULT
-        assert sim.hostops > 0
+        assert self.counted(gen)[2] == ops
