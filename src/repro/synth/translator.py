@@ -17,7 +17,9 @@ Our translator reproduces that structure in Python:
   (:class:`RegisterCache`);
 * information hidden by the buildset is removed by the same dead-code
   elimination used for One/Step interfaces;
-* translated blocks are memoized in a per-simulator code cache.
+* translated blocks are memoized in a per-simulator code cache, and the
+  text of each instruction occurrence in a per-translator memo, so
+  unrolled iterations and partial units are assembled from text.
 """
 
 from __future__ import annotations
@@ -110,16 +112,19 @@ def _static_const_next_pc(stmts: list[ast.stmt]) -> int | None:
     return value if writes == 1 else None
 
 
-def _next_pc_arm_consts(stmts: list[ast.stmt]) -> frozenset[int]:
-    """Constant values any arm of this instruction may give ``next_pc``.
+def _next_pc_consts(stmts: list[ast.stmt]) -> tuple[frozenset[int], frozenset[int]]:
+    """Constant values an instruction may give ``next_pc``: ``(arms, direct)``.
 
-    Collects direct constant assignments and the constant arms of
-    conditional expressions.  Superblock formation uses this to tell a
+    ``arms`` collects direct constant assignments and the constant arms of
+    conditional expressions.  Superblock formation uses it to tell a
     conditional branch (one arm is the textual fall-through, so the unit
     may continue across it with a guarded side exit) from an indirect
-    jump, whose successor is not any compile-time constant.
+    jump, whose successor is not any compile-time constant.  ``direct``
+    holds only the plain ``next_pc = K`` assignments: the exit targets of
+    a unit that ends at this instruction.
     """
-    consts: set[int] = set()
+    arms: set[int] = set()
+    direct: set[int] = set()
     for stmt in stmts:
         for node in ast.walk(stmt):
             if not (
@@ -130,15 +135,14 @@ def _next_pc_arm_consts(stmts: list[ast.stmt]) -> frozenset[int]:
             ):
                 continue
             value = node.value
-            arms = (
-                (value.body, value.orelse)
-                if isinstance(value, ast.IfExp)
-                else (value,)
-            )
-            for arm in arms:
+            if isinstance(value, ast.Constant) and isinstance(value.value, int):
+                direct.add(value.value)
+            for arm in (
+                (value.body, value.orelse) if isinstance(value, ast.IfExp) else (value,)
+            ):
                 if isinstance(arm, ast.Constant) and isinstance(arm.value, int):
-                    consts.add(arm.value)
-    return frozenset(consts)
+                    arms.add(arm.value)
+    return frozenset(arms), frozenset(direct)
 
 
 def _instr_has_syscall(instr: Instruction, post_actions: tuple[str, ...]) -> bool:
@@ -390,6 +394,33 @@ class UnitSource:
     exit_targets: tuple[int, ...]
     #: statements dead-code elimination dropped from the unit
     dce_dropped: int
+    #: instruction occurrences served from the piece memo
+    reused: int
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """One translated instruction occurrence, as text.
+
+    Everything the unit assembler reads from an occurrence; see
+    :meth:`BlockTranslator._translate_instruction` for the key.
+    """
+
+    #: the ``(addr, word)`` front half (env, control and sreg facts)
+    core: dict
+    #: unparsed statements, without a hoisted constant trace record
+    lines: tuple[str, ...]
+    #: register files and ``__mem`` the statements name
+    names: frozenset[str]
+    #: the constant trace record batch-appended by the assembler, if any
+    trace_const: str | None
+    #: constant arms of ``next_pc`` writes (superblock formation)
+    arm_consts: frozenset[int]
+    #: constants assigned directly to ``next_pc`` (runtime-exit targets)
+    next_pc_consts: frozenset[int]
+    #: register-cache state after the piece
+    loaded: frozenset[tuple[str, int]]
+    dirty: frozenset[tuple[str, int]]
 
 
 class BlockTranslator:
@@ -402,7 +433,11 @@ class BlockTranslator:
         #: memoized decode-time front half of piece translation,
         #: keyed by (addr, word) — see :meth:`_instruction_core`
         self._piece_cache: dict[tuple[int, int], dict] = {}
+        #: memoized back half: one occurrence's text, keyed by everything
+        #: it reads — see :meth:`_translate_instruction`
+        self._pieces: dict[tuple, _Piece] = {}
         spec = plan.spec
+        self._piece_names = frozenset(spec.regfiles) | {"__mem"}
         self._fold_funcs = dict(PURE_NAMESPACE)
         self._fold_funcs.update(spec.helpers)
         self._control = {
@@ -437,6 +472,8 @@ class BlockTranslator:
         counters.inc("translate.instructions", length)
         counters.inc("translate.elapsed_us", elapsed_us)
         counters.inc("translate.dce_eliminated", dce_dropped)
+        counters.inc("translate.pieces", length)
+        counters.inc("translate.pieces_reused", fn.__pieces_reused__)
         if parts > 1:
             counters.inc("translate.superblocks")
             counters.inc("translate.superblock_instructions", length)
@@ -469,6 +506,7 @@ class BlockTranslator:
         fn.__chain_cells__ = tuple(cell for _cell_name, cell in unit.cells)
         fn.__exit_targets__ = unit.exit_targets
         fn.__dce_dropped__ = unit.dce_dropped
+        fn.__pieces_reused__ = unit.reused
         return fn
 
     # -- translation ---------------------------------------------------------------
@@ -488,8 +526,8 @@ class BlockTranslator:
         )
 
         dce_dropped = 0
-        pieces: list[list[ast.stmt]] = []
-        trace_consts: list[str | None] = []
+        reused = 0
+        pieces: list[_Piece] = []
         #: per-piece guarded side exit (superblocks across conditionals)
         side_exits: list[dict | None] = []
         side_targets: set[int] = set()
@@ -501,7 +539,6 @@ class BlockTranslator:
         parts = 1  # basic blocks merged into this unit
         final_next_pc: object = None  # int const or "runtime"
         unroll_len = 0  # length of one iteration when self-loop unrolling
-        ended_by_syscall = False
         chain = options.chain and limit is None
 
         # Unit budget: one basic block (capped at MAX_BLOCK) classically;
@@ -528,22 +565,23 @@ class BlockTranslator:
                     final_next_pc = "runtime"
                 break
             instr = spec.instructions[index]
-            stmts, env, info = self._translate_instruction(
-                sim, instr, addr, word, regcache, count, sreg_writes_all
+            piece, hit = self._translate_instruction(
+                instr, addr, word, regcache, count, sreg_writes_all
             )
-            pieces.append(stmts)
-            dce_dropped += info["dce_dropped"]
-            trace_consts.append(info["trace_const"])
+            reused += hit
+            core = piece.core
+            env = core["env"]
+            pieces.append(piece)
+            dce_dropped += core["dce_dropped"]
             side_exits.append(None)
-            sreg_reads_all |= info["sreg_reads"]
-            sreg_writes_all |= info["sreg_writes"]
+            sreg_reads_all |= core["sreg_reads"]
+            sreg_writes_all |= core["sreg_writes"]
             count += 1
             if self._syscalls[instr.name]:
-                ended_by_syscall = True
                 final_next_pc = env.get("next_pc", "runtime")
                 break
-            if info["control"]:
-                next_const = info["next_const"]
+            if core["is_control"]:
+                next_const = core["next_const"]
                 if (
                     options.superblock > 0
                     and isinstance(next_const, int)
@@ -569,7 +607,7 @@ class BlockTranslator:
                 # forward diamonds and multi-block loop bodies into one
                 # straight-line region.
                 fallthrough = addr + spec.ilen
-                arm_consts = info["arm_consts"]
+                arm_consts = piece.arm_consts
                 follow = None
                 if options.superblock > 0 and count < unit_budget:
                     if start_pc in arm_consts:
@@ -603,14 +641,12 @@ class BlockTranslator:
             final_next_pc = next_const
 
         # -- assemble the function ------------------------------------------------
-        flush_stmts = regcache.flush() if regcache is not None else []
-        all_stmts = [s for piece in pieces for s in piece] + flush_stmts
-        names_used = {
-            node.id
-            for stmt in all_stmts
-            for node in ast.walk(stmt)
-            if isinstance(node, ast.Name)
-        }
+        names_used = set().union(*(piece.names for piece in pieces))
+        flush_stmts: list[ast.stmt] = []
+        if regcache is not None:
+            # the final flush stores into the dirty registers' files
+            names_used |= {file for file, _index in regcache.dirty}
+            flush_stmts = regcache.flush()
         reg_files_bind = names_used & set(spec.regfiles)
         mem_used = "__mem" in names_used
 
@@ -691,13 +727,13 @@ class BlockTranslator:
                 writer.line("return None")
             writer.dedent()
 
-        for stmts, tconst, side_exit in zip(pieces, trace_consts, side_exits):
-            if tconst is not None:
-                writer.stmts(stmts[:-1])
-                pending_trace.append(tconst)
-            else:
+        for piece, side_exit in zip(pieces, side_exits):
+            if piece.trace_const is None:
                 _flush_trace()
-                writer.stmts(stmts)
+            for line in piece.lines:
+                writer.line(line)
+            if piece.trace_const is not None:
+                pending_trace.append(piece.trace_const)
             if side_exit is not None:
                 _emit_side_exit(side_exit)
         _flush_trace()
@@ -764,28 +800,19 @@ class BlockTranslator:
             cells=tuple(cells),
             exit_targets=self._exit_targets(final_next_pc, pieces, side_targets),
             dce_dropped=dce_dropped,
+            reused=reused,
         )
 
     @staticmethod
-    def _exit_targets(final_next_pc, pieces, side_targets=frozenset()) -> tuple[int, ...]:
+    def _exit_targets(final_next_pc, pieces, side_targets) -> tuple[int, ...]:
         """Compile-time-constant successor pcs of a unit."""
         targets: set[int] = set(side_targets)
         if isinstance(final_next_pc, int):
             targets.add(final_next_pc)
         elif pieces:
-            # Runtime exit: collect the constant arms of the final
-            # instruction (e.g. both sides of a conditional branch).
-            for stmt in pieces[-1]:
-                for node in ast.walk(stmt):
-                    if (
-                        isinstance(node, ast.Assign)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)
-                        and node.targets[0].id == "next_pc"
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, int)
-                    ):
-                        targets.add(node.value.value)
+            # Runtime exit: the constant targets of the final instruction
+            # (e.g. both sides of a conditional branch).
+            targets |= pieces[-1].next_pc_consts
         return tuple(sorted(targets))
 
     def _instruction_core(self, instr: Instruction, addr: int, word: int) -> dict:
@@ -904,23 +931,46 @@ class BlockTranslator:
 
     def _translate_instruction(
         self,
-        sim,
         instr: Instruction,
         addr: int,
         word: int,
         regcache: RegisterCache | None,
         position: int,
-        sregs_so_far: set[str] = frozenset(),
-    ):
+        sregs_so_far: set[str],
+    ) -> tuple[_Piece, bool]:
+        """Translate one instruction occurrence; returns it and whether it
+        came from the memo.
+
+        The back half (register cache, copy forwarding, peephole, unparse)
+        is a pure function of ``(addr, word)``, the register-cache state it
+        starts from, and — for a syscall only, whose text materializes the
+        unit position and the special registers written so far — of
+        ``position`` and ``sregs_so_far``.  So each distinct key is
+        translated once per translator: unrolled loop iterations and
+        partial units re-assemble cached text, restoring the register-cache
+        state the piece leaves behind.  The word is part of the key, which
+        keeps the memo coherent with self-modifying code and eviction.
+        """
+        has_syscall = self._syscalls[instr.name]
+        if regcache is not None:
+            key = (addr, word, frozenset(regcache.loaded), frozenset(regcache.dirty))
+        else:
+            key = (addr, word)
+        if has_syscall:
+            key += (position, frozenset(sregs_so_far))
+        piece = self._pieces.get(key)
+        if piece is not None:
+            if regcache is not None:
+                regcache.loaded = set(piece.loaded)
+                regcache.dirty = set(piece.dirty)
+            return piece, True
+
         plan = self.plan
         speculate = plan.buildset.speculation
         core = self._instruction_core(instr, addr, word)
         stmts = ast.parse(core["src"]).body
-        env = core["env"]
         sreg_writes = core["sreg_writes"]
         trace_values = core["trace_values"]
-
-        has_syscall = self._syscalls[instr.name]
         out: list[ast.stmt] = []
 
         if speculate:
@@ -966,9 +1016,11 @@ class BlockTranslator:
             pure = plan.pure_names | frozenset(PURE_NAMESPACE)
             out = forward_copies(out, protected, pure)
             out = peephole_stmts(out)
+        out = [s for s in out if not isinstance(s, ast.Pass)]
 
         # A compile-time-constant trace record can be hoisted out of the
-        # instruction and batch-appended by the unit assembler.
+        # instruction (it is the final statement) and batch-appended by
+        # the unit assembler.
         trace_const = None
         if not has_syscall:
             try:
@@ -976,18 +1028,28 @@ class BlockTranslator:
                 trace_const = trace_values
             except (ValueError, SyntaxError):
                 trace_const = None
+        emitted = out[:-1] if trace_const is not None else out
 
-        info = {
-            "control": core["is_control"],
-            "trace_const": trace_const,
-            "next_const": core["next_const"],
-            "arm_consts": _next_pc_arm_consts(out),
-            "sreg_reads": core["sreg_reads"],
-            "sreg_writes": sreg_writes,
-            "dce_dropped": core["dce_dropped"],
-        }
-        out = [s for s in out if not isinstance(s, ast.Pass)]
-        return out, env, info
+        names: set[str] = set()
+        for stmt in out:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+        arm_consts, next_pc_consts = _next_pc_consts(out)
+        piece = _Piece(
+            core=core,
+            lines=tuple(
+                line for stmt in emitted for line in ast.unparse(stmt).splitlines()
+            ),
+            names=frozenset(names & self._piece_names),
+            trace_const=trace_const,
+            arm_consts=arm_consts,
+            next_pc_consts=next_pc_consts,
+            loaded=frozenset(regcache.loaded) if regcache is not None else frozenset(),
+            dirty=frozenset(regcache.dirty) if regcache is not None else frozenset(),
+        )
+        self._pieces[key] = piece
+        return piece, False
 
     def _conditionally_assigned(self, stmts: list[ast.stmt]) -> set[str]:
         sure: set[str] = set()

@@ -3,8 +3,15 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.adl import load_isa
+
+#: ``HYPOTHESIS_PROFILE=ci`` makes every property test draw the same
+#: examples on every run and ignore the local example database, so a
+#: test run cannot go red on a random seed or a replayed old failure.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -62,6 +62,13 @@ class TestKernelsStatsJson:
         assert translate["blocks"] == cache["misses"]
         assert translate["instructions"] > 0
 
+    def test_piece_memo_counters(self, doc):
+        translate = doc["stats"]["counters"]["translate"]
+        # one memo lookup per translated occurrence; unrolled loop bodies
+        # and re-entered paths are served from the memo
+        assert translate["pieces"] == translate["instructions"]
+        assert 0 < translate["pieces_reused"] < translate["pieces"]
+
     def test_chain_counters(self, doc):
         chain = doc["stats"]["counters"]["code_cache"]["chain"]
         assert chain["links"] > 0

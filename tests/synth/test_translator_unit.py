@@ -1,11 +1,15 @@
-"""Unit tests for the block translator's register cache and block shaping."""
+"""Unit tests for the block translator's register cache, block shaping and piece memo."""
 
 import ast
 
 import pytest
 
+from repro.isa.base import get_bundle
 from repro.synth import SynthOptions, synthesize
 from repro.synth.translator import RegisterCache
+from repro.sysemu.loader import load_image
+from repro.sysemu.syscalls import OSEmulator
+from repro.workloads import SUITE, assemble_kernel
 
 from tests.synth import toyasm
 
@@ -127,3 +131,67 @@ class TestBlockShaping:
         body = source.split("_do_syscall")[0]
         assert "R[1] = " in body  # dirty register flushed before the trap
         assert "di.count = 2" in source  # block ends at the syscall
+
+
+class TestPieceMemo:
+    """The translator memoizes each instruction occurrence's text, keyed by
+    everything that text depends on; reuse must never change a unit."""
+
+    @pytest.fixture(scope="class")
+    def gen(self, toy_spec):
+        return synthesize(toy_spec, "block_min")
+
+    @pytest.mark.parametrize("kernel", ["sort", "matmul"])
+    def test_unit_source_independent_of_translation_order(self, kernel):
+        bundle = get_bundle("alpha")
+        generated = synthesize(bundle.load_spec(), "block_min")
+        spec = SUITE[kernel]
+        image = assemble_kernel("alpha", spec, spec.test_n)
+
+        def fresh():
+            sim = generated.make(syscall_handler=OSEmulator(bundle.abi))
+            load_image(sim.state, image, bundle.abi)
+            return sim
+
+        warm = fresh()
+        assert warm.run(50_000_000).exited
+        # The sliced run shares the warm translator, adding partial units.
+        sliced = fresh()
+        sliced._translator = warm._translator
+        while not sliced.run(137).exited:
+            pass
+        translator = warm._translator
+        pcs = sorted(warm._cache)
+        assert pcs
+        for pc in pcs:
+            reused = translator.block_source(warm, pc)
+            assert reused.reused == reused.length
+            cold_sim = fresh()
+            cold = cold_sim._translator.block_source(cold_sim, pc)
+            assert reused.source == cold.source, hex(pc)
+            assert reused.exit_targets == cold.exit_targets, hex(pc)
+            assert len(reused.cells) == len(cold.cells), hex(pc)
+
+    def test_syscall_text_follows_its_unit_position(self, gen):
+        sim = gen.make()
+        toyasm.load_words(
+            sim.state, [toyasm.addi(1, 0, 5), toyasm.addi(1, 0, 5), toyasm.sys()]
+        )
+        # Both units reach the syscall at 0x08 with the same register-cache
+        # state (R0 loaded, R1 dirty), at positions 2 and 1.
+        from_0 = sim.block_source(0)
+        from_4 = sim.block_source(4)
+        assert "di.count = 3" in from_0
+        assert "di.count = 2" not in from_0
+        assert "di.count = 2" in from_4
+        assert "di.count = 3" not in from_4
+
+    def test_rewritten_word_is_retranslated(self, gen):
+        sim = gen.make()
+        toyasm.load_words(sim.state, [toyasm.addi(1, 0, 42), toyasm.beq(0, 0, 0)])
+        assert "42" in sim.block_source(0)
+        toyasm.load_words(sim.state, [toyasm.addi(1, 0, 99)])
+        sim.flush_code_cache()
+        source = sim.block_source(0)
+        assert "99" in source
+        assert "42" not in source
