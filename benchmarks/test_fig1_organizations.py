@@ -125,3 +125,13 @@ def test_fig1_all_organizations(benchmark, publish, publish_json):
     assert by_org["timing-first"].mismatches > 0  # injected bugs caught
     assert by_org["speculative-functional-first"].rollbacks > 0
     assert by_org["timing-directed"].cpi > by_org["functional-first"].cpi
+    # ...and the organizations sharing the in-order cycle model agree on
+    # it: functional-first also accounts the exit instruction (its fetch
+    # costs 1, 9 or 69 cycles), and every timing-first mismatch adds one
+    # 10-cycle pipeline flush to the integrated count.
+    integrated = by_org["integrated"]
+    ff = by_org["functional-first"]
+    assert ff.instructions == integrated.instructions + 1
+    assert 1 <= ff.cycles - integrated.cycles <= 69
+    tf = by_org["timing-first"]
+    assert tf.cycles == integrated.cycles + 10 * tf.mismatches

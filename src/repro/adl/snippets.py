@@ -246,11 +246,6 @@ def rename_names(
     return out
 
 
-def snippet_locals(stmts: list[ast.stmt], known: set[str]) -> set[str]:
-    """Names written by the snippet that are not globally-known fields."""
-    return analyze_stmts(stmts).writes - known
-
-
 # -- constant folding ---------------------------------------------------------
 
 

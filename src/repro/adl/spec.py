@@ -58,9 +58,6 @@ class Format:
     bitfields: dict[str, Bitfield]
     loc: SourceLoc | None = None
 
-    def extract_all(self, word: int) -> dict[str, int]:
-        return {name: bf.extract(word) for name, bf in self.bitfields.items()}
-
 
 @dataclass(frozen=True)
 class Field:
@@ -143,9 +140,6 @@ class Instruction:
     def value(self) -> int:
         return self.patterns[0][1]
 
-    def actions_present(self) -> tuple[str, ...]:
-        return tuple(self.action_code)
-
 
 @dataclass(frozen=True)
 class Entrypoint:
@@ -205,16 +199,6 @@ class IsaSpec:
             if instr.name == name:
                 return instr
         raise KeyError(name)
-
-    def expand_actions(self, names: tuple[str, ...]) -> tuple[str, ...]:
-        """Expand group names into their member actions, preserving order."""
-        out: list[str] = []
-        for name in names:
-            if name in self.groups:
-                out.extend(self.groups[name])
-            else:
-                out.append(name)
-        return tuple(out)
 
     def action_index(self, name: str) -> int:
         return self.action_order.index(name)

@@ -125,64 +125,11 @@ def predict_costs(generated) -> CostPrediction:
     )
 
 
-def predict_block_costs(generated, image, abi) -> CostPrediction:
-    """Predict a Block interface's host-ops-per-instruction over an image.
-
-    Block bodies exist only after run-time translation, so the static
-    module has nothing to measure; instead the translated units reachable
-    from ``image``'s entry are walked (:mod:`repro.check.blockwalk`) and
-    each unit's compiled bytecode length — plus the memory-primitive
-    charges the One/Step model applies — is amortized over the unit's
-    instruction count.  Units are weighted by their length: a superblock
-    that covers more of the program also covers more of its execution, a
-    workload-free proxy in the same spirit as the decode-space weights.
-    """
-    import ast as _ast
-
-    from repro.check.blockwalk import walk_units
-
-    spec = generated.plan.spec
-    total_cost = 0.0
-    total_instructions = 0
-    for unit in walk_units(generated, image, abi):
-        code = compile(unit.source, f"<unit {unit.pc:#x}>", "exec")
-        unit_cost = float(
-            sum(
-                1
-                for const in code.co_consts
-                if hasattr(const, "co_code")
-                for _ in dis.get_instructions(const)
-            )
-        )
-        for node in _ast.walk(_ast.parse(unit.source)):
-            if (
-                isinstance(node, _ast.Call)
-                and isinstance(node.func, _ast.Attribute)
-                and isinstance(node.func.value, _ast.Name)
-                and node.func.value.id == "__mem"
-            ):
-                if node.func.attr.startswith("read"):
-                    unit_cost += _MEM_READ_COST
-                elif node.func.attr.startswith("write"):
-                    unit_cost += _MEM_WRITE_COST
-        total_cost += unit_cost
-        total_instructions += unit.length
-    body_cost = total_cost / total_instructions if total_instructions else 0.0
-    return CostPrediction(
-        isa=spec.name,
-        buildset=generated.plan.buildset.name,
-        entry_cost=0.0,  # do_block dispatch amortizes away under chaining
-        body_cost=body_cost,
-        weights={},
-    )
-
-
 def predict_spec(spec, buildsets=None) -> dict[str, CostPrediction]:
     """Predictions for every One/Step buildset of a spec.
 
-    Block interfaces are skipped here: their bodies are translated at
-    run time, so they need a workload image — see
-    :func:`predict_block_costs`.
+    Block interfaces are skipped: their bodies are translated at run
+    time, so the generated module holds nothing to price.
     """
     from repro.synth import SynthOptions, synthesize
 

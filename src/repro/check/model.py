@@ -213,20 +213,6 @@ def attribute_stores(
     return out
 
 
-def attribute_loads(fn: ast.FunctionDef, obj: str) -> list[tuple[str, ast.expr]]:
-    """``obj.attr`` reads, in source order."""
-    out = [
-        (node.attr, node)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.ctx, ast.Load)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == obj
-    ]
-    out.sort(key=lambda pair: pair[1].lineno)
-    return out
-
-
 def _is_attr_on(node: ast.AST, obj: str) -> bool:
     return (
         isinstance(node, ast.Attribute)

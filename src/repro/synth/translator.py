@@ -689,43 +689,48 @@ class BlockTranslator:
             cells.append((cell_name, new_chain_cell()))
             return cell_name
 
-        def _emit_side_exit(exit_info: dict) -> None:
-            # Guarded exit for the non-fall-through arm of a crossed
-            # conditional.  Mirrors the final chain epilogue: dirty
-            # registers and special registers written so far are committed,
-            # then the per-exit successor slots are tried; ``state.pc`` and
-            # ``di.count`` are only materialized when control returns to
-            # the dispatcher.
-            _flush_trace()
-            taken = exit_info["count"]
-            writer.line(f"if next_pc != {exit_info['follow']}:")
-            writer.indent()
-            writer.stmts(exit_info["spill"])
-            for sreg in exit_info["sregs"]:
-                writer.line(f"__state.sr[{sreg!r}] = {sreg}")
+        def _emit_exit(taken: int, target) -> None:
+            # Unit exit after ``taken`` instructions to ``target``: a
+            # constant successor pc, or "next_pc" for one known only at
+            # run time.  Without chaining it commits ``state.pc`` and
+            # ``di.count`` for the dispatcher.  With chaining it first
+            # debits the dispatch budget and tries the per-exit successor
+            # slot(s).  An unlinked cell fails the same ``[1] <= __b`` test
+            # as a too-long successor, so the hot path is a single
+            # comparison per slot.  The slow paths translate, patch and
+            # register the edge.  Bookkeeping a chained transfer never
+            # needs — the ``state.pc`` commit and ``di.count`` — is
+            # deferred off the hot path: the successor's pc is baked into
+            # its code, and :meth:`do_block` recovers the count from the
+            # budget debit (``di.count`` is set here only when execution
+            # actually returns to the dispatcher).
             if chain:
                 writer.line(f"__b = di.budget - {taken}")
                 writer.line("di.budget = __b")
-                c0 = _new_cell()
-                c1 = _new_cell()
-                for var in (c0, c1):
-                    writer.line(f"__c = {var}")
-                    writer.line("if __c[2] == next_pc and __c[1] <= __b:")
+                if target == "next_pc":
+                    c0 = _new_cell()
+                    c1 = _new_cell()
+                    for var in (c0, c1):
+                        writer.line(f"__c = {var}")
+                        writer.line("if __c[2] == next_pc and __c[1] <= __b:")
+                        writer.indent()
+                        writer.line("return __c[0]")
+                        writer.dedent()
+                    slow = f"self._chain_resolve({c0}, {c1}, next_pc, __b)"
+                else:
+                    writer.line(f"__c = {_new_cell()}")
+                    writer.line("if __c[1] <= __b:")
                     writer.indent()
                     writer.line("return __c[0]")
                     writer.dedent()
-                writer.line("__state.pc = next_pc")
-                writer.line(f"di.count = {taken}")
+                    slow = f"self._chain_link(__c, {target}, __b)"
+            writer.line(f"__state.pc = {target}")
+            writer.line(f"di.count = {taken}")
+            if chain:
                 writer.line("if __b > 0:")
                 writer.indent()
-                writer.line(f"return self._chain_resolve({c0}, {c1}, next_pc, __b)")
+                writer.line(f"return {slow}")
                 writer.dedent()
-                writer.line("return None")
-            else:
-                writer.line("__state.pc = next_pc")
-                writer.line(f"di.count = {taken}")
-                writer.line("return None")
-            writer.dedent()
 
         for piece, side_exit in zip(pieces, side_exits):
             if piece.trace_const is None:
@@ -735,63 +740,25 @@ class BlockTranslator:
             if piece.trace_const is not None:
                 pending_trace.append(piece.trace_const)
             if side_exit is not None:
-                _emit_side_exit(side_exit)
+                # Guarded exit for the non-fall-through arm of a crossed
+                # conditional: dirty registers and special registers
+                # written so far are committed before leaving the unit.
+                _flush_trace()
+                writer.line(f"if next_pc != {side_exit['follow']}:")
+                writer.indent()
+                writer.stmts(side_exit["spill"])
+                for sreg in side_exit["sregs"]:
+                    writer.line(f"__state.sr[{sreg!r}] = {sreg}")
+                _emit_exit(side_exit["count"], "next_pc")
+                writer.line("return None")
+                writer.dedent()
         _flush_trace()
         writer.stmts(flush_stmts)
         for sreg in sorted(sreg_writes_all):
             writer.line(f"__state.sr[{sreg!r}] = {sreg}")
-        runtime_exit = final_next_pc == "runtime"
-        if not chain:
-            if runtime_exit:
-                writer.line("__state.pc = next_pc")
-            else:
-                writer.line(f"__state.pc = {final_next_pc}")
-            writer.line(f"di.count = {count}")
-        else:
-            # Chain epilogue: debit the dispatch budget, then try the
-            # per-exit successor slot(s).  An unlinked cell fails the same
-            # ``[1] <= __b`` test as a too-long successor, so the hot path
-            # is a single comparison per slot.  The slow paths translate,
-            # patch and register the edge.  Bookkeeping a chained transfer
-            # never needs — the ``state.pc`` commit and ``di.count`` — is
-            # deferred off the hot path: the successor's pc is baked into
-            # its code, and :meth:`do_block` recovers the count from the
-            # budget debit (``di.count`` is set here only when execution
-            # actually returns to the dispatcher).
-            writer.line(f"__b = di.budget - {count}")
-            writer.line("di.budget = __b")
-            if runtime_exit:
-                c0 = _new_cell()
-                c1 = _new_cell()
-                for var in (c0, c1):
-                    writer.line(f"__c = {var}")
-                    writer.line("if __c[2] == next_pc and __c[1] <= __b:")
-                    writer.indent()
-                    writer.line("return __c[0]")
-                    writer.dedent()
-                writer.line("__state.pc = next_pc")
-                writer.line(f"di.count = {count}")
-                writer.line("if __b > 0:")
-                writer.indent()
-                writer.line(
-                    f"return self._chain_resolve({c0}, {c1}, next_pc, __b)"
-                )
-                writer.dedent()
-            else:
-                c0 = _new_cell()
-                writer.line(f"__c = {c0}")
-                writer.line("if __c[1] <= __b:")
-                writer.indent()
-                writer.line("return __c[0]")
-                writer.dedent()
-                writer.line(f"__state.pc = {final_next_pc}")
-                writer.line(f"di.count = {count}")
-                writer.line("if __b > 0:")
-                writer.indent()
-                writer.line(
-                    f"return self._chain_link(__c, {final_next_pc}, __b)"
-                )
-                writer.dedent()
+        _emit_exit(
+            count, "next_pc" if final_next_pc == "runtime" else final_next_pc
+        )
         return UnitSource(
             source=writer.source(),
             name=name,

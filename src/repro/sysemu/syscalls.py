@@ -54,10 +54,6 @@ class SyscallABI:
     stack_reg: int | None = None
 
 
-class SyscallError(Exception):
-    """An emulated syscall was invoked with invalid arguments."""
-
-
 class OSEmulator:
     """Emulates the tiny user-mode OS interface the workloads need.
 

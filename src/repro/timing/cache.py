@@ -79,6 +79,3 @@ class Cache:
 
     def flush(self) -> None:
         self._ways = [[] for _ in range(self.sets)]
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()

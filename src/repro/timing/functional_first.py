@@ -45,7 +45,6 @@ class FunctionalFirstSimulator:
         self._bits = index["instr_bits"]
         self._next = index["next_pc"]
         self._ea = index.get("effective_addr")
-        self._taken = index.get("branch_taken")
         bind_spans(self, self.obs.prof, {"_consume_trace": TIMING})
 
     @property
@@ -60,7 +59,6 @@ class FunctionalFirstSimulator:
                 record[self._bits],
                 record[self._next],
                 record[self._ea] if self._ea is not None else None,
-                record[self._taken] if self._taken is not None else None,
             )
 
     def run(self, max_instructions: int) -> TimingReport:

@@ -3,9 +3,12 @@
 "The integrated organization uses only a single simulator which
 intermingles the functional and timing aspects ... and thus does not have
 a separate functional simulator nor an interface."  We model it as one
-loop that executes functionally and accounts cycles inline — useful as
-the baseline row of the Figure 1 demonstration and as the timing side of
-timing-first.
+loop that executes each instruction through a One-detail simulator and
+hands it straight to the shared :class:`InOrderPipelineModel` — the
+baseline row of the Figure 1 demonstration and the timing side of
+timing-first.  Because the cycle model is the one functional-first uses,
+the two organizations agree to the cycle on every program; they differ
+only in the exit instruction, which functional-first's trace includes.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from repro.arch.faults import ExitProgram
 from repro.obs.probe import NULL_OBS
 from repro.obs.report import record_timing_stats
 from repro.synth.synthesizer import GeneratedSimulator
-from repro.timing.classify import BRANCH, LOAD, MUL, STORE, InstructionClassifier
-from repro.timing.pipeline import TimingReport, default_caches
-from repro.timing.branch import BimodalPredictor
+from repro.timing.pipeline import InOrderPipelineModel, TimingReport
 
 
 class IntegratedSimulator:
@@ -28,46 +29,29 @@ class IntegratedSimulator:
             raise ValueError("integrated baseline uses a One-detail build")
         self.obs = obs if obs is not None else NULL_OBS
         self.sim = generated.make(syscall_handler=syscall_handler, obs=self.obs)
-        self.classifier = InstructionClassifier(generated.spec)
-        self.icache, self.dcache = default_caches()
-        self.predictor = BimodalPredictor()
-        self.cycles = 0
-        self.instructions = 0
-        self.mispredicts = 0
+        self.timing = InOrderPipelineModel(generated.spec)
 
     @property
     def state(self):
         return self.sim.state
 
-    def run(self, max_instructions: int) -> TimingReport:
-        report = TimingReport("integrated")
+    def step_instruction(self) -> None:
+        """Execute one instruction and account its cycles."""
         sim = self.sim
         di = sim.di
+        sim.do_in_one(di)
+        self.timing.consume(
+            di.pc, di.instr_bits, di.next_pc, getattr(di, "effective_addr", None)
+        )
+
+    def run(self, max_instructions: int) -> TimingReport:
+        report = TimingReport("integrated")
+        timing = self.timing
         try:
-            while self.instructions < max_instructions:
-                sim.do_in_one(di)
-                self.instructions += 1
-                kind = self.classifier.kind(di.instr_bits)
-                cycles = self.icache.access(di.pc)
-                if kind in (LOAD, STORE):
-                    cycles += self.dcache.access(
-                        di.effective_addr, kind == STORE
-                    )
-                elif kind == MUL:
-                    cycles += 3
-                if kind == BRANCH and not self.predictor.update(
-                    di.pc, bool(di.branch_taken)
-                ):
-                    cycles += 6
-                    self.mispredicts += 1
-                self.cycles += cycles
+            while timing.instructions < max_instructions:
+                self.step_instruction()
         except ExitProgram as exc:
             report.exit_status = exc.status
-        report.instructions = self.instructions
-        report.cycles = self.cycles
-        report.branch_mispredicts = self.mispredicts
-        report.icache_misses = self.icache.stats.misses
-        report.dcache_misses = self.dcache.stats.misses
         if self.obs.enabled:
-            record_timing_stats(self.obs, "integrated", self)
-        return report
+            record_timing_stats(self.obs, "integrated", timing)
+        return timing.fill_report(report)

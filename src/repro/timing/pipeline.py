@@ -11,7 +11,6 @@ from repro.timing.classify import (
     LOAD,
     MUL,
     STORE,
-    SYSCALL,
     InstructionClassifier,
 )
 
@@ -53,9 +52,10 @@ def default_caches() -> tuple[Cache, Cache]:
 class InOrderPipelineModel:
     """Scalar in-order pipeline: 1 CPI plus memory/branch/multiply stalls.
 
-    Consumes per-instruction information at the paper's "Decode"
-    informational level: pc, instruction bits, next pc, effective address,
-    branch direction.
+    The one cycle model of the integrated, functional-first, timing-first
+    and speculative functional-first organizations.  It consumes
+    per-instruction information at the paper's "Decode" informational
+    level: pc, instruction bits, next pc and effective address.
     """
 
     def __init__(
@@ -70,6 +70,7 @@ class InOrderPipelineModel:
         if icache is None or dcache is None:
             icache, dcache = default_caches()
         self.classifier = InstructionClassifier(spec)
+        self.ilen = spec.ilen
         self.icache = icache
         self.dcache = dcache
         self.predictor = predictor or BimodalPredictor()
@@ -85,9 +86,13 @@ class InOrderPipelineModel:
         instr_bits: int,
         next_pc: int,
         effective_addr: int | None,
-        branch_taken: int | None,
     ) -> None:
-        """Account one committed instruction."""
+        """Account one committed instruction.
+
+        Branch direction is ``next_pc != pc + ilen``: ``next_pc`` is the
+        one field every interface exposes, and every instruction writes
+        it, so it never carries a previous instruction's value.
+        """
         kind = self.classifier.kind(instr_bits)
         cycles = self.icache.access(pc)  # fetch
         if kind in (LOAD, STORE) and effective_addr is not None:
@@ -95,10 +100,7 @@ class InOrderPipelineModel:
         elif kind == MUL:
             cycles += self.mul_latency
         if kind == BRANCH:
-            taken = bool(branch_taken) if branch_taken is not None else (
-                next_pc != pc + 4
-            )
-            if not self.predictor.update(pc, taken):
+            if not self.predictor.update(pc, next_pc != pc + self.ilen):
                 cycles += self.mispredict_penalty
                 self.mispredicts += 1
         self.cycles += cycles

@@ -76,7 +76,6 @@ class SpeculativeFunctionalFirstSimulator:
                     di.instr_bits,
                     di.next_pc,
                     getattr(di, "effective_addr", None),
-                    getattr(di, "branch_taken", None),
                 )
                 if (
                     self.diverge_every

@@ -40,6 +40,7 @@ class TimingDirectedSimulator:
         )
         self.entries = [getattr(self.sim, n) for n in self.sim.entry_names]
         self.classifier = InstructionClassifier(generated.spec)
+        self.ilen = generated.spec.ilen
         self.icache, self.dcache = default_caches()
         self.predictor = BimodalPredictor()
         self.mispredict_penalty = mispredict_penalty
@@ -79,7 +80,7 @@ class TimingDirectedSimulator:
         writeback(di)
         exception(di)
         if kind == BRANCH:
-            taken = bool(di.branch_taken)
+            taken = di.next_pc != di.pc + self.ilen
             if not self.predictor.update(di.pc, taken):
                 self.cycles += self.mispredict_penalty
                 self.mispredicts += 1

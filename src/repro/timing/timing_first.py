@@ -5,11 +5,15 @@ by the functional simulator; when there is a mismatch, the timing
 simulator's pipeline is flushed and its architectural state is reloaded
 from the functional simulator."
 
-The timing side here is an integrated model (it executes instructions
-itself); the checker is a One/Min functional simulator running one
-instruction behind.  A fault-injection hook lets tests demonstrate the
-organization's selling point: timing-model functional bugs surface as
-counted, recoverable mismatches rather than silent corruption.
+The timing side here is an :class:`IntegratedSimulator` (it executes
+instructions itself and accounts them through the shared in-order cycle
+model); the checker is a One/Min functional simulator running one
+instruction behind.  A mismatch flushes the pipeline, which adds a fixed
+penalty to the timing side's cycles, so a run costs exactly the
+integrated cycles plus ``FLUSH_PENALTY`` per mismatch.  A fault-injection
+hook lets tests demonstrate the organization's selling point: timing-model
+functional bugs surface as counted, recoverable mismatches rather than
+silent corruption.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from repro.obs.probe import NULL_OBS
 from repro.obs.report import record_timing_stats
 from repro.prof.spans import TIMING, bind_spans
 from repro.synth.synthesizer import GeneratedSimulator
-from repro.timing.classify import BRANCH, LOAD, MUL, STORE, InstructionClassifier
-from repro.timing.pipeline import TimingReport, default_caches
-from repro.timing.branch import BimodalPredictor
+from repro.timing.integrated import IntegratedSimulator
+from repro.timing.pipeline import TimingReport
+
+#: Cycles charged for the pipeline flush that follows a mismatch.
+FLUSH_PENALTY = 10
 
 
 class TimingFirstSimulator:
@@ -40,58 +46,35 @@ class TimingFirstSimulator:
         # paper's organization keeps completely separate state and
         # resynchronizes on mismatch.
         self.obs = obs if obs is not None else NULL_OBS
-        self.timing_sim = timing_generated.make(
-            syscall_handler=syscall_handler_factory(), obs=self.obs
+        self.integrated = IntegratedSimulator(
+            timing_generated, syscall_handler_factory(), obs=self.obs
         )
         self.checker_sim = checker_generated.make(
             syscall_handler=syscall_handler_factory()
         )
-        self.classifier = InstructionClassifier(timing_generated.spec)
-        self.icache, self.dcache = default_caches()
-        self.predictor = BimodalPredictor()
         self.inject_bug_every = inject_bug_every
-        self.cycles = 0
-        self.instructions = 0
         self.mismatches = 0
-        self.mispredicts = 0
         bind_spans(self, self.obs.prof, {"run": TIMING})
 
     @property
     def state(self):
-        return self.timing_sim.state
+        return self.integrated.state
 
     def load(self, loader) -> None:
         """Apply a loader callable to both simulators' states."""
-        loader(self.timing_sim.state)
+        loader(self.integrated.state)
         loader(self.checker_sim.state)
 
-    def _account(self, di) -> None:
-        kind = self.classifier.kind(di.instr_bits)
-        cycles = self.icache.access(di.pc)
-        if kind in (LOAD, STORE):
-            cycles += self.dcache.access(di.effective_addr, kind == STORE)
-        elif kind == MUL:
-            cycles += 3
-        if kind == BRANCH and not self.predictor.update(
-            di.pc, bool(di.branch_taken)
-        ):
-            cycles += 6
-            self.mispredicts += 1
-        self.cycles += cycles
-
     def step_instruction(self) -> None:
-        timing = self.timing_sim
+        integrated = self.integrated
+        integrated.step_instruction()
+        state = integrated.state
         checker = self.checker_sim
-        timing.do_in_one(timing.di)
-        self._account(timing.di)
-        self.instructions += 1
-        if (
-            self.inject_bug_every
-            and self.instructions % self.inject_bug_every == 0
-        ):
+        instructions = integrated.timing.instructions
+        if self.inject_bug_every and instructions % self.inject_bug_every == 0:
             # Deliberate timing-model functional bug (paper: "bugs can be
             # tolerated"): corrupt a register before the check runs.
-            regfile = next(iter(timing.state.rf.values()))
+            regfile = next(iter(state.rf.values()))
             regfile[5] ^= 0x1000
         # The checker executes the same instruction on its own state...
         checker.do_in_one(checker.di)
@@ -99,35 +82,31 @@ class TimingFirstSimulator:
         # against it ("the timing model directly queries architectural
         # state in the functional model").
         if (
-            timing.state.pc != checker.state.pc
-            or timing.state.rf != checker.state.rf
-            or timing.state.sr != checker.state.sr
+            state.pc != checker.state.pc
+            or state.rf != checker.state.rf
+            or state.sr != checker.state.sr
         ):
             self.mismatches += 1
             if self.obs.enabled:
                 self.obs.counters.inc("timing_first.mismatches")
                 self.obs.events.emit(
                     TIMING_MISMATCH,
-                    pc=timing.state.pc,
-                    instruction=self.instructions,
+                    pc=state.pc,
+                    instruction=instructions,
                 )
             # Pipeline flush + state reload from the functional model.
-            timing.state.copy_architectural_state_from(checker.state)
-            self.cycles += 10  # flush penalty
+            state.copy_architectural_state_from(checker.state)
+            integrated.timing.cycles += FLUSH_PENALTY
 
     def run(self, max_instructions: int) -> TimingReport:
         report = TimingReport("timing-first")
+        timing = self.integrated.timing
         try:
-            while self.instructions < max_instructions:
+            while timing.instructions < max_instructions:
                 self.step_instruction()
         except ExitProgram as exc:
             report.exit_status = exc.status
-        report.instructions = self.instructions
-        report.cycles = self.cycles
         report.mismatches = self.mismatches
-        report.branch_mispredicts = self.mispredicts
-        report.icache_misses = self.icache.stats.misses
-        report.dcache_misses = self.dcache.stats.misses
         if self.obs.enabled:
-            record_timing_stats(self.obs, "timing_first", self)
-        return report
+            record_timing_stats(self.obs, "timing_first", timing)
+        return timing.fill_report(report)

@@ -117,5 +117,4 @@ def replay_into(reader: TraceReader, timing_model) -> None:
             record["instr_bits"],
             record["next_pc"],
             record.get("effective_addr"),
-            record.get("branch_taken"),
         )

@@ -105,17 +105,6 @@ class Kernel:
         self._data.append(f"{label}:")
         self._data.append(f".space {nbytes}")
 
-    def data_bytes(self, label: str, text: str, align: int = 8) -> None:
-        self._data.append(f".align {align}")
-        self._data.append(f"{label}:")
-        self._data.append(f'.asciz "{text}"')
-
-    def data_words(self, label: str, values: list[int], align: int = 8) -> None:
-        self._data.append(f".align {align}")
-        self._data.append(f"{label}:")
-        for value in values:
-            self._data.append(f".word {value}")
-
     # -- emission ---------------------------------------------------------------------
 
     def emit(self, isa: str) -> str:
@@ -141,10 +130,6 @@ class Kernel:
             lines.append("result:")
             lines.append(".space 8")
         return "\n".join(lines) + "\n"
-
-    @property
-    def wordsize_by_isa(self) -> dict[str, int]:
-        return {name: low.wordsize for name, low in LOWERINGS.items()}
 
 
 def wordsize(isa: str) -> int:

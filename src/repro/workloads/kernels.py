@@ -23,11 +23,6 @@ def _lcg(seed: int) -> int:
     return (seed * LCG_MUL + LCG_ADD) & M32
 
 
-def _s32(x: int) -> int:
-    x &= M32
-    return x - (1 << 32) if x & 0x80000000 else x
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """One kernel: builder, reference model, default sizes."""

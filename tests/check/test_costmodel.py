@@ -77,28 +77,6 @@ class TestPredictions:
         assert "one_all" in predictions
 
 
-class TestBlockPrediction:
-    def test_block_priced_below_one_min(self):
-        """Table III's direction for the Block level: the translated
-        units (superblocks, chained exits) amortize to far fewer host
-        ops per instruction than the cheapest One interface."""
-        from repro.check.costmodel import predict_block_costs
-        from repro.isa.base import get_bundle
-        from repro.synth import synthesize
-        from repro.workloads import SUITE, assemble_kernel
-
-        bundle = get_bundle("alpha")
-        spec = bundle.load_spec()
-        image = assemble_kernel("alpha", SUITE["checksum"], 4)
-        block = predict_block_costs(
-            synthesize(spec, "block_min"), image, bundle.abi
-        )
-        assert block.entry_cost == 0.0  # dispatch amortizes under chaining
-        assert block.body_cost > 0
-        one = predict_costs(synthesize(spec, "one_min"))
-        assert block.total < one.total
-
-
 class TestReport:
     def test_report_shape(self):
         report = cost_report("alpha")
